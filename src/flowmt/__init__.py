@@ -42,10 +42,9 @@ from .instance import (
     lower_bound,
     makespan,
     parse_instance,
-    random_instance,
     write_instance,
 )
-from .search import SearchBudget, insert_local_search, neh, solve_eat
+from .search import insert_local_search, neh, solve_eat
 from .transfer import (
     PATCH_STRATEGIES,
     default_key_values,

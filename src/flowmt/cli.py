@@ -8,7 +8,6 @@ errors print a diagnostic to stderr and return a nonzero code.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 from random import Random
@@ -18,18 +17,21 @@ from .distance import itdm
 from .emt import Engine, EngineConfig
 from .errors import FlowmtError, ConfigError
 from .harness import (
-    aggregate,
+    config_items,
+    distance_sweep,
+    group_metrics,
     load_instance_file,
     parse_algorithm,
     parse_campaign_config,
+    read_runs_csv,
     relative_error,
     run_campaign,
-    distance_sweep,
+    write_metrics_csv,
     write_sweep_csv,
-    RunRecord,
+    write_trace_csv,
 )
 from .instance import Instance, generate_taillard, makespan, write_instance
-from .search import SearchBudget, solve_eat
+from .search import solve_eat
 from .transfer import PATCH_STRATEGIES, patch
 
 
@@ -138,8 +140,7 @@ def _cmd_build_eat(args) -> int:
 
 def _cmd_solve_eat(args) -> int:
     inst = load_instance_file(args.eat_file)
-    budget = SearchBudget(sa_iterations=args.sa_iters, rng_seed=args.seed)
-    perm = solve_eat(inst.matrix, budget, Random(args.seed))
+    perm = solve_eat(inst.matrix, args.sa_iters, Random(args.seed))
     print("permutation =", " ".join(str(j) for j in perm))
     print("makespan =", makespan(inst.matrix, perm))
     return 0
@@ -185,11 +186,7 @@ def _cmd_solve(args) -> int:
         print(f"re = {relative_error(result.best_makespan, inst.best_known):.4f}")
     print("permutation =", " ".join(str(j) for j in result.best_perm))
     trace_path = args.trace_out or f"{Path(args.instance).stem}_trace.csv"
-    with open(trace_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["elapsed_s", "generation", "best_makespan"])
-        for point in result.trace:
-            writer.writerow([f"{point.elapsed_s:.6f}", point.generation, point.best_makespan])
+    write_trace_csv(trace_path, result.trace)
     print("trace =", trace_path)
     return 0
 
@@ -205,14 +202,7 @@ def _cmd_experiment(args) -> int:
 
 def _parse_sweep_config(text: str, base_dir: Path):
     instances, measures, ratios, seed, out = [], list(MEASURES), None, 0, "distances.csv"
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not value:
-            raise ConfigError(f"line {line_no}: expected key=value, got {raw!r}")
+    for line_no, key, value in config_items(text):
         if key == "instance":
             instances.append(load_instance_file(base_dir / value))
         elif key == "measures":
@@ -240,37 +230,12 @@ def _cmd_distance_sweep(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    groups: dict = {}
-    with open(args.records, newline="") as fh:
-        for line_no, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                rec = RunRecord(
-                    algorithm=row["algorithm"],
-                    instance=row["instance"],
-                    run_index=int(row["run"]),
-                    seed=int(row["seed"]),
-                    makespan=int(row["makespan"]),
-                    elapsed_s=float(row["elapsed_s"]),
-                    re=float(row["re"]),
-                )
-            except (KeyError, TypeError, ValueError):
-                raise ConfigError(
-                    f"{args.records}: line {line_no} is not a finished run record"
-                ) from None
-            groups.setdefault((rec.algorithm, rec.instance), []).append(rec)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["algorithm", "instance", "are", "bre", "wre"])
-        for key in sorted(groups):
-            row = aggregate(groups[key])
-            writer.writerow(
-                [row.algorithm, row.instance,
-                 f"{row.are:.6f}", f"{row.bre:.6f}", f"{row.wre:.6f}"]
-            )
-    finally:
-        if args.out:
-            out.close()
+    rows = group_metrics(read_runs_csv(args.records))
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            write_metrics_csv(fh, rows)
+    else:
+        write_metrics_csv(sys.stdout, rows)
     return 0
 
 

@@ -88,7 +88,6 @@ class TaskPair:
 
     exp: Instance
     pairing: ImpTsk | RndTsk
-    aux: EatSpec | Instance | None = None  # resolved when the engine starts
 
     def __post_init__(self):
         if isinstance(self.pairing, RndTsk):
@@ -183,6 +182,10 @@ class RunResult:
     config: EngineConfig
 
 
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.perf_counter() >= deadline
+
+
 class Engine:
     """One engine instance owns one run's population state and rng."""
 
@@ -194,6 +197,7 @@ class Engine:
                 "patched-solution transfer needs an auxiliary task drawn from the "
                 "expensive task's own jobs"
             )
+        self.aux: EatSpec | Instance | None = None  # resolved when the run starts
         self._uid = 0
         self._resolved = False
 
@@ -201,27 +205,25 @@ class Engine:
 
     def resolve(self, rng: Random) -> None:
         """Materialize the auxiliary task; counted inside the run's budget."""
-        pair = self.pair
-        exp = pair.exp
-        if isinstance(pair.pairing, ImpTsk):
-            if pair.aux is None:
-                pair.aux = build_eat(
-                    exp.matrix,
-                    pair.pairing.measure,
-                    pair.pairing.k,
-                    rng=rng,
-                    source=exp.name,
-                    seed=self.config.rng_seed,
-                )
-            eat: EatSpec = pair.aux
-            self._eat_jobs = set(eat.S)
+        exp = self.pair.exp
+        pairing = self.pair.pairing
+        if isinstance(pairing, ImpTsk):
+            self.aux = build_eat(
+                exp.matrix,
+                pairing.measure,
+                pairing.k,
+                rng=rng,
+                source=exp.name,
+                seed=self.config.rng_seed,
+            )
+            self._eat_jobs = set(self.aux.S)
             self._aux_matrix = exp.matrix  # rows of the kept jobs are the task
             self.D = exp.n
         else:
-            pair.aux = pair.pairing.instance
-            self._eat_jobs = set(range(1, pair.aux.n + 1))
-            self._aux_matrix = pair.aux.matrix
-            self.D = max(exp.n, pair.aux.n)
+            self.aux = pairing.instance
+            self._eat_jobs = set(range(1, self.aux.n + 1))
+            self._aux_matrix = self.aux.matrix
+            self.D = max(exp.n, self.aux.n)
         self._exp_jobs = set(range(1, exp.n + 1))
         self._resolved = True
 
@@ -236,12 +238,12 @@ class Engine:
             return rov_decode(genotype)
         return list(genotype)
 
-    def decode_task(self, task: str, genotype: tuple) -> list[int]:
-        full = self.decode_full(genotype)
+    def _project(self, task: str, full: list[int]) -> list[int]:
         jobs = self._task_jobs(task)
-        if len(jobs) == len(full):
-            return full
-        return [job for job in full if job in jobs]
+        return full if len(jobs) == len(full) else project_to_eat(full, jobs)
+
+    def decode_task(self, task: str, genotype: tuple) -> list[int]:
+        return self._project(task, self.decode_full(genotype))
 
     def evaluate(self, task: str, genotype: tuple) -> int:
         perm = self.decode_task(task, genotype)
@@ -358,17 +360,13 @@ class Engine:
         if self.config.ls_intensity == 0:
             return ind
         full = self.decode_full(ind.genotype)
-        jobs = self._task_jobs(ind.skill)
         mat = self._task_matrix(ind.skill)
-        if len(jobs) == len(full):
-            sub = full
-        else:
-            sub = [job for job in full if job in jobs]
+        sub = self._project(ind.skill, full)
         improved_sub = insert_local_search(mat, sub, self.config.ls_intensity, rng)
         improved_full = (
             improved_sub
             if len(improved_sub) == len(full)
-            else self._merge_back(full, improved_sub, jobs)
+            else self._merge_back(full, improved_sub, self._task_jobs(ind.skill))
         )
         if self.config.encoding == "realkey":
             ind.genotype = tuple(perm_to_vector(ind.genotype, improved_full))
@@ -378,17 +376,22 @@ class Engine:
         return ind
 
     def explicit_transfer(
-        self, population: list[Individual], generation: int, rng: Random
+        self,
+        population: list[Individual],
+        generation: int,
+        rng: Random,
+        deadline: float | None = None,
     ) -> list[Individual]:
         """Patch the best auxiliary-skill schedules into expensive-task offspring.
 
         Runs only on the configured period; the remaining jobs are inserted in
-        descending importance at their best positions.
+        descending importance at their best positions. No patch starts once
+        ``time.perf_counter()`` has reached ``deadline``.
         """
         config = self.config
         if config.transfer_mode != "ri" or generation % config.transfer_period != 0:
             return []
-        eat: EatSpec = self.pair.aux
+        eat: EatSpec = self.aux
         donors = [
             ind
             for ind in population
@@ -398,6 +401,8 @@ class Engine:
         out = []
         exp_matrix = self.pair.exp.matrix
         for donor in donors[: config.transfer_count]:
+            if _past(deadline):
+                break
             pi_eat = self.decode_task(TASK_EAT, donor.genotype)
             complete = patch("ri", pi_eat, list(eat.remaining), exp_matrix, rng)
             if config.encoding == "realkey":
@@ -443,6 +448,7 @@ class Engine:
     def run(self) -> RunResult:
         config = self.config
         start = time.perf_counter()
+        deadline = None if config.time_budget is None else start + config.time_budget
 
         def elapsed() -> float:
             return 0.0 if config.deterministic else time.perf_counter() - start
@@ -453,12 +459,7 @@ class Engine:
                 and done_generations >= config.max_generations
             ):
                 return True
-            if (
-                config.time_budget is not None
-                and time.perf_counter() - start >= config.time_budget
-            ):
-                return True
-            return False
+            return _past(deadline)
 
         rng = Random(config.rng_seed)
         self.resolve(rng)
@@ -480,11 +481,13 @@ class Engine:
             rng.shuffle(order)
             offspring = []
             for a, b in zip(order[::2], order[1::2]):
+                if _past(deadline):
+                    break  # select over what this generation has made so far
                 for kid in self.mate(pop[a], pop[b], rng, birth=gen):
                     kid.objectives[kid.skill] = self.evaluate(kid.skill, kid.genotype)
                     self.improve(kid, rng)
                     offspring.append(kid)
-            offspring.extend(self.explicit_transfer(pop, gen, rng))
+            offspring.extend(self.explicit_transfer(pop, gen, rng, deadline))
             pop = self.select(pop + offspring)
             for ind in offspring:
                 val = ind.objectives.get(TASK_EXP)

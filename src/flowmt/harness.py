@@ -22,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
+from typing import Iterator, TextIO
 
 from .auxiliary import MEASURES, build_eat, importance_scores
 from .distance import cos_theta_lower_bound, itdm, zero_pad
@@ -54,6 +55,7 @@ RUNS_HEADER = [
     "trace",
 ]
 METRICS_HEADER = ["algorithm", "instance", "are", "bre", "wre"]
+TRACE_HEADER = ["elapsed_s", "generation", "best_makespan"]
 SWEEP_HEADER = ["instance", "measure", "ratio", "d", "cos_theta", "bound"]
 
 
@@ -103,6 +105,14 @@ def aggregate(records: list[RunRecord]) -> MetricsRow:
         bre=min(res),
         wre=max(res),
     )
+
+
+def group_metrics(records: list[RunRecord]) -> list[MetricsRow]:
+    """One aggregated row per (algorithm, instance), sorted by that key."""
+    groups: dict = {}
+    for r in records:
+        groups.setdefault((r.algorithm, r.instance), []).append(r)
+    return [aggregate(groups[key]) for key in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +214,20 @@ class CampaignConfig:
             parse_algorithm(name)
 
 
+def config_items(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) per non-blank line of key=value text; '#'
+    starts a comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not value:
+            raise ConfigError(f"line {line_no}: expected key=value, got {raw!r}")
+        yield line_no, key, value
+
+
 def parse_campaign_config(text: str, base_dir: str | Path = ".") -> CampaignConfig:
     kwargs: dict = {"instances": [], "algorithms": [], "base_dir": str(base_dir)}
     scalars = {
@@ -216,14 +240,7 @@ def parse_campaign_config(text: str, base_dir: str | Path = ".") -> CampaignConf
         "parallelism": int,
         "out_dir": str,
     }
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not value:
-            raise ConfigError(f"line {line_no}: expected key=value, got {raw!r}")
+    for line_no, key, value in config_items(text):
         if key == "instance":
             kwargs["instances"].append(value)
         elif key == "algorithm":
@@ -243,9 +260,10 @@ def parse_campaign_config(text: str, base_dir: str | Path = ".") -> CampaignConf
 # ---------------------------------------------------------------------------
 
 
-def _cell_trace_name(algorithm: str, instance: str, run_index: int) -> str:
+def _cell_trace_path(algorithm: str, instance: str, run_index: int) -> Path:
+    """A cell's trace file, relative to the campaign's output directory."""
     safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in algorithm)
-    return f"{safe}__{instance}__run{run_index}.csv"
+    return Path("traces") / f"{safe}__{instance}__run{run_index}.csv"
 
 
 def _engine_config(cfg: CampaignConfig, algo: AlgorithmSpec, exp: Instance, seed: int) -> EngineConfig:
@@ -263,22 +281,35 @@ def _engine_config(cfg: CampaignConfig, algo: AlgorithmSpec, exp: Instance, seed
     )
 
 
-def _run_cell(args) -> tuple:
-    """Execute one (algorithm, instance, run) cell; top-level so pools can pickle it."""
-    algo_name, instance_path, base_dir, cfg_kwargs, run_index, seed, trace_file = args
-    cfg = CampaignConfig(**cfg_kwargs)
-    algo = parse_algorithm(algo_name)
-    exp = load_instance_file(Path(base_dir) / instance_path)
-    pair = algo.make_pair(exp, base_dir)
-    engine_cfg = _engine_config(cfg, algo, exp, seed)
-    result = Engine(pair, engine_cfg).run()
-    Path(trace_file).parent.mkdir(parents=True, exist_ok=True)
-    with open(trace_file, "w", newline="") as fh:
+def write_trace_csv(path: str | Path, trace: list) -> None:
+    """Convergence CSV: one (elapsed_s, generation, best_makespan) row per point."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["elapsed_s", "generation", "best_makespan"])
-        for point in result.trace:
+        writer.writerow(TRACE_HEADER)
+        for point in trace:
             writer.writerow([f"{point.elapsed_s:.6f}", point.generation, point.best_makespan])
-    return (algo_name, exp.name, run_index, seed, result.best_makespan, result.elapsed_s)
+
+
+def _run_cell(args) -> RunRecord:
+    """Execute one (algorithm, instance, run) cell; top-level so pools can pickle it."""
+    algo_name, instance_path, config, run_index, trace_path = args
+    seed = config.base_seed + run_index
+    algo = parse_algorithm(algo_name)
+    exp = load_instance_file(Path(config.base_dir) / instance_path)
+    pair = algo.make_pair(exp, config.base_dir)
+    result = Engine(pair, _engine_config(config, algo, exp, seed)).run()
+    trace_file = Path(config.base_dir) / config.out_dir / trace_path
+    trace_file.parent.mkdir(parents=True, exist_ok=True)
+    write_trace_csv(trace_file, result.trace)
+    return RunRecord(
+        algorithm=algo_name,
+        instance=exp.name,
+        run_index=run_index,
+        seed=seed,
+        makespan=result.best_makespan,
+        elapsed_s=result.elapsed_s,
+        trace_path=str(trace_path),
+    )
 
 
 def _worker_count(config: CampaignConfig) -> int:
@@ -291,23 +322,32 @@ def _worker_count(config: CampaignConfig) -> int:
     return max(1, config.parallelism)
 
 
-def _read_journal(path: Path) -> dict:
-    done = {}
-    if not path.exists():
-        return done
+def read_runs_csv(path: str | Path) -> list[RunRecord]:
+    """Every row of a runs.csv; a row that is not a finished run record
+    raises ConfigError naming the file and line."""
+    records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["algorithm"], row["instance"], int(row["run"]))
-            done[key] = RunRecord(
-                algorithm=row["algorithm"],
-                instance=row["instance"],
-                run_index=int(row["run"]),
-                seed=int(row["seed"]),
-                makespan=int(row["makespan"]),
-                elapsed_s=float(row["elapsed_s"]),
-                trace_path=row["trace"],
-            )
-    return done
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                records.append(
+                    RunRecord(
+                        algorithm=row["algorithm"],
+                        instance=row["instance"],
+                        run_index=int(row["run"]),
+                        seed=int(row["seed"]),
+                        makespan=int(row["makespan"]),
+                        elapsed_s=float(row["elapsed_s"]),
+                        trace_path=row["trace"],
+                        re=float(row["re"]),
+                        re_basis=row["re_basis"],
+                    )
+                )
+            except (KeyError, TypeError, ValueError):
+                raise ConfigError(
+                    f"{path}: line {reader.line_num} is not a finished run record"
+                ) from None
+    return records
 
 
 def _write_runs_csv(path: Path, records: list[RunRecord]) -> None:
@@ -330,21 +370,19 @@ def _write_runs_csv(path: Path, records: list[RunRecord]) -> None:
             )
 
 
-def _write_metrics_csv(path: Path, rows: list[MetricsRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for row in rows:
-            writer.writerow(
-                [row.algorithm, row.instance, f"{row.are:.6f}", f"{row.bre:.6f}", f"{row.wre:.6f}"]
-            )
+def write_metrics_csv(stream: TextIO, rows: list[MetricsRow]) -> None:
+    writer = csv.writer(stream)
+    writer.writerow(METRICS_HEADER)
+    for row in rows:
+        writer.writerow(
+            [row.algorithm, row.instance, f"{row.are:.6f}", f"{row.bre:.6f}", f"{row.wre:.6f}"]
+        )
 
 
 def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsRow]]:
     """Run every cell, resuming past work, and write runs/metrics/trace CSVs."""
     base = Path(config.base_dir)
     out_dir = base / config.out_dir
-    traces_dir = out_dir / "traces"
     out_dir.mkdir(parents=True, exist_ok=True)
     runs_path = out_dir / "runs.csv"
 
@@ -361,31 +399,15 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
             for run_index in range(config.runs):
                 cells.append((algo, name, rel, run_index))
 
-    done = _read_journal(runs_path)
-    cfg_kwargs = {
-        "instances": config.instances,
-        "algorithms": config.algorithms,
-        "runs": config.runs,
-        "base_seed": config.base_seed,
-        "budget_factor": config.budget_factor,
-        "max_generations": config.max_generations,
-        "population": config.population,
-        "ls_intensity": config.ls_intensity,
-        "parallelism": config.parallelism,
-        "out_dir": config.out_dir,
-        "base_dir": config.base_dir,
-    }
-    pending = []
-    for algo, name, rel, run_index in cells:
-        if (algo, name, run_index) in done:
-            continue
-        seed = config.base_seed + run_index
-        trace_rel = Path("traces") / _cell_trace_name(algo, name, run_index)
-        pending.append(
-            (algo, rel, str(base), cfg_kwargs, run_index, seed, str(out_dir / trace_rel))
-        )
+    done = {}
+    if runs_path.exists():
+        done = {(r.algorithm, r.instance, r.run_index): r for r in read_runs_csv(runs_path)}
+    pending = [
+        (algo, rel, config, run_index, _cell_trace_path(algo, name, run_index))
+        for algo, name, rel, run_index in cells
+        if (algo, name, run_index) not in done
+    ]
 
-    results = []
     workers = _worker_count(config)
     if workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -393,16 +415,8 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
     else:
         results = [_run_cell(args) for args in pending]
 
-    for algo_name, inst_name, run_index, seed, best, elapsed in results:
-        done[(algo_name, inst_name, run_index)] = RunRecord(
-            algorithm=algo_name,
-            instance=inst_name,
-            run_index=run_index,
-            seed=seed,
-            makespan=best,
-            elapsed_s=elapsed,
-            trace_path=str(Path("traces") / _cell_trace_name(algo_name, inst_name, run_index)),
-        )
+    for r in results:
+        done[(r.algorithm, r.instance, r.run_index)] = r
 
     records = [done[(algo, name, run_index)] for algo, name, _rel, run_index in cells]
     records.sort(key=lambda r: (r.algorithm, r.instance, r.run_index))
@@ -424,12 +438,9 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
         r.re_basis = basis
 
     _write_runs_csv(runs_path, records)
-
-    groups: dict = {}
-    for r in records:
-        groups.setdefault((r.algorithm, r.instance), []).append(r)
-    metrics = [aggregate(groups[key]) for key in sorted(groups)]
-    _write_metrics_csv(out_dir / "metrics.csv", metrics)
+    metrics = group_metrics(records)
+    with open(out_dir / "metrics.csv", "w", newline="") as fh:
+        write_metrics_csv(fh, metrics)
     return records, metrics
 
 

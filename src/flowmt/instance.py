@@ -62,9 +62,6 @@ class ProblemMatrix:
             self._rows = self.p.tolist()
         return self._rows
 
-    def job_row(self, job: int) -> list:
-        return self.rows()[job - 1]
-
 
 @dataclass
 class Instance:
@@ -245,8 +242,3 @@ def generate_taillard(n: int, m: int, seed: int, name: str | None = None) -> Ins
         seed=seed,
     )
 
-
-def random_instance(n: int, m: int, rng, low: int = 1, high: int = 99, name: str = "") -> Instance:
-    """Uniform random instance from a caller-owned rng (test/experiment helper)."""
-    p = np.array([[rng.randint(low, high) for _ in range(m)] for _ in range(n)], dtype=np.int64)
-    return Instance(ProblemMatrix(p), name=name)

@@ -4,24 +4,34 @@ and a simulated-annealing refiner for small auxiliary tasks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidPermutationError, ParameterError
 from .instance import ProblemMatrix, _makespan_unchecked
 
-__all__ = ["SearchBudget", "neh", "insert_local_search", "solve_eat"]
+__all__ = ["neh", "insert_local_search", "solve_eat"]
 
 
-@dataclass
-class SearchBudget:
-    ls_intensity: int = 50
-    sa_iterations: int = 10000
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.ls_intensity < 0 or self.sa_iterations < 0:
-            raise ParameterError("search budgets must be nonnegative")
+def _insert_best(
+    matrix: ProblemMatrix, seq: Sequence[int], jobs: Sequence[int], latest_ties: bool
+) -> list[int]:
+    """Insert ``jobs`` one at a time into ``seq``, each at the slot minimizing
+    the partial makespan. Tied slots resolve to the latest one when
+    ``latest_ties`` is set, otherwise to the earliest."""
+    rows = matrix.rows()
+    m = matrix.m
+    seq = list(seq)
+    for job in jobs:
+        best_pos = 0
+        best_cmax = None
+        for pos in range(len(seq) + 1):
+            cand = seq[:pos] + [job] + seq[pos:]
+            cmax = _makespan_unchecked(rows, m, cand)
+            if best_cmax is None or cmax < best_cmax or (latest_ties and cmax == best_cmax):
+                best_cmax = cmax
+                best_pos = pos
+        seq.insert(best_pos, job)
+    return seq
 
 
 def neh(matrix: ProblemMatrix, priority: Sequence[int]) -> list[int]:
@@ -34,52 +44,23 @@ def neh(matrix: ProblemMatrix, priority: Sequence[int]) -> list[int]:
     jobs = list(priority)
     if sorted(jobs) != list(range(1, matrix.n + 1)):
         raise InvalidPermutationError("priority must order every job exactly once")
-    rows = matrix.rows()
-    m = matrix.m
-    seq: list[int] = []
-    for job in jobs:
-        best_pos = 0
-        best_cmax = None
-        for pos in range(len(seq) + 1):
-            cand = seq[:pos] + [job] + seq[pos:]
-            cmax = _makespan_unchecked(rows, m, cand)
-            if best_cmax is None or cmax <= best_cmax:
-                best_cmax = cmax
-                best_pos = pos
-        seq.insert(best_pos, job)
-    return seq
+    return _insert_best(matrix, [], jobs, latest_ties=True)
 
 
-def _intensity(budget) -> int:
-    return budget.ls_intensity if isinstance(budget, SearchBudget) else int(budget)
+def _check_iterations(iterations: int) -> None:
+    if iterations < 0:
+        raise ParameterError(f"iteration count must be nonnegative, got {iterations}")
 
 
-def _sa_iters(budget) -> int:
-    return budget.sa_iterations if isinstance(budget, SearchBudget) else int(budget)
-
-
-def insert_local_search(
-    matrix: ProblemMatrix,
-    perm: Sequence[int],
-    budget,
-    rng,
-    restrict: Iterable[int] | None = None,
-) -> list[int]:
+def insert_local_search(matrix: ProblemMatrix, perm: Sequence[int], iterations: int, rng) -> list[int]:
     """Random INSERT walk: repeatedly pick two distinct jobs and move the
     later-positioned one directly before the earlier one.
 
-    Runs for the budgeted number of iterations and returns the best sequence
-    seen, the input included, so the result never evaluates worse. When
-    ``restrict`` is given, both sampled jobs come from that subset.
+    Runs for ``iterations`` moves and returns the best sequence seen, the
+    input included, so the result never evaluates worse.
     """
-    iterations = _intensity(budget)
+    _check_iterations(iterations)
     cur = list(perm)
-    eligible = None
-    if restrict is not None:
-        members = set(restrict)
-        eligible = [i for i, job in enumerate(cur) if job in members]
-        if len(eligible) < 2:
-            return cur
     if len(cur) < 2:
         return cur
 
@@ -88,10 +69,7 @@ def insert_local_search(
     best = list(cur)
     best_val = _makespan_unchecked(rows, m, cur)
     for _ in range(iterations):
-        if eligible is None:
-            i, j = rng.sample(range(len(cur)), 2)
-        else:
-            i, j = rng.sample(eligible, 2)
+        i, j = rng.sample(range(len(cur)), 2)
         if i > j:
             i, j = j, i
         job = cur.pop(j)
@@ -100,13 +78,10 @@ def insert_local_search(
         if val < best_val:
             best_val = val
             best = list(cur)
-        if eligible is not None:
-            members_positions = [k for k, job_ in enumerate(cur) if job_ in members]
-            eligible = members_positions
     return best
 
 
-def solve_eat(submatrix: ProblemMatrix, budget, rng) -> list[int]:
+def solve_eat(submatrix: ProblemMatrix, iterations: int, rng) -> list[int]:
     """Near-optimal schedule for a compact task: NEH seed plus annealing.
 
     The seed orders jobs by descending row sum. Annealing proposes random
@@ -114,10 +89,10 @@ def solve_eat(submatrix: ProblemMatrix, budget, rng) -> list[int]:
     to T0 / 100, accepting uphill moves with probability exp(-delta / T).
     Returns the best schedule seen, never worse than the seed.
     """
+    _check_iterations(iterations)
     rows_sums = [(sum(row), job) for job, row in enumerate(submatrix.rows(), start=1)]
     priority = [job for _, job in sorted(rows_sums, key=lambda t: (-t[0], t[1]))]
     seed = neh(submatrix, priority)
-    iterations = _sa_iters(budget)
     g = len(seed)
     if iterations == 0 or g < 2:
         return seed

@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ParameterError, PartitionError, ShapeError
-from .instance import ProblemMatrix, _makespan_unchecked
+from .instance import ProblemMatrix
+from .search import _insert_best
 
 __all__ = [
     "PATCH_STRATEGIES",
@@ -93,21 +94,11 @@ def patch(
     if kind == "ai" and rest and rng is None:
         raise ParameterError("ai strategy needs a seeded rng")
 
-    rows = matrix.rows()
-    m = matrix.m
+    if kind == "ri":
+        return _insert_best(matrix, pi_eat, rest, latest_ties=False)
     seq = list(pi_eat)
     for job in rest:
-        if kind == "ri":
-            best_pos = 0
-            best_cmax = None
-            for pos in range(len(seq) + 1):
-                cand = seq[:pos] + [job] + seq[pos:]
-                cmax = _makespan_unchecked(rows, m, cand)
-                if best_cmax is None or cmax < best_cmax:
-                    best_cmax = cmax
-                    best_pos = pos
-            seq.insert(best_pos, job)
-        elif kind == "ei":
+        if kind == "ei":
             seq.append(job)
         elif kind == "oi":
             if len(seq) % 2 == 1:

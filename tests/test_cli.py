@@ -54,6 +54,11 @@ def test_solve_eat_prints_schedule(fig2_file, tmp_path, capsys):
     assert "permutation =" in out and "makespan =" in out
 
 
+def test_solve_eat_negative_iterations_exit_code(fig2_file, capsys):
+    assert main(["solve-eat", str(fig2_file), "--sa-iters", "-1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_patch_command(fig2_file, capsys):
     assert main(
         [
@@ -122,6 +127,31 @@ def test_experiment_and_metrics(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("algorithm,instance,are,bre,wre")
     assert len(lines) == 5  # header + 2 algorithms x 2 instances
+
+
+def test_resume_over_malformed_journal_exit_code(tmp_path, fig2_file, capsys):
+    config = tmp_path / "campaign.cfg"
+    config.write_text(
+        "instance=fig2.txt\n"
+        "algorithm=P-MFEA/LSP-20/IK\n"
+        "runs=2\n"
+        "max_generations=1\n"
+        "population=6\n"
+        "ls_intensity=2\n"
+        "out_dir=results\n"
+    )
+    assert main(["experiment", str(config)]) == 0
+    runs_csv = tmp_path / "results" / "runs.csv"
+    lines = runs_csv.read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\r\n").split(",")
+    cells = lines[2].split(",")
+    cells[header.index("run")] = "one"
+    lines[2] = ",".join(cells)
+    runs_csv.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["experiment", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "runs.csv" in err and "line 3" in err
 
 
 def test_distance_sweep_command(tmp_path, fig2_file, capsys):

@@ -1,5 +1,7 @@
 from random import Random
 
+import time
+
 import pytest
 
 from flowmt.auxiliary import build_eat
@@ -15,7 +17,7 @@ from flowmt.emt import (
     run,
 )
 from flowmt.errors import ConfigError, UnderfullPoolError
-from flowmt.instance import Instance, makespan
+from flowmt.instance import Instance, generate_taillard, makespan
 from flowmt.transfer import project_to_eat, rov_decode
 
 from conftest import random_matrix
@@ -199,7 +201,7 @@ class TestImprove:
         before_full = rov_decode(genotype)
         eng.improve(ind, Random(15))
         after_full = rov_decode(ind.genotype)
-        critical = eng.pair.aux.S
+        critical = eng.aux.S
         for pos, (a, b) in enumerate(zip(before_full, after_full)):
             if a not in critical:
                 assert a == b, f"non-critical job moved at position {pos}"
@@ -232,7 +234,7 @@ class TestExplicitTransfer:
         )
         transferred = eng.explicit_transfer(pop, 5, Random(23))
         assert len(transferred) == min(len(donors), 8)
-        critical = eng.pair.aux.S
+        critical = eng.aux.S
         for donor, new in zip(donors, transferred):
             assert new.skill == TASK_EXP
             full = rov_decode(new.genotype)
@@ -369,6 +371,30 @@ class TestRun:
         )
         result = run(pair, config)
         assert sorted(result.best_perm) == list(range(1, 11))
+
+    def test_reused_pair_runs_like_a_fresh_one(self):
+        ta001 = generate_taillard(20, 5, 873654221)
+        shared = TaskPair(ta001, ImpTsk("rnd", 30))
+        for seed in (1, 2):
+            config = EngineConfig(population=20, ls_intensity=10, max_generations=5, rng_seed=seed)
+            reused = run(shared, config)
+            fresh = run(TaskPair(ta001, ImpTsk("rnd", 30)), config)
+            assert reused.best_perm == fresh.best_perm
+            assert reused.trace == fresh.trace
+
+    def test_wall_clock_budget_holds_within_a_generation(self):
+        # a generation here takes several seconds and one RI patch about 0.6 s,
+        # so the run ends near its 0.3 s budget only if the budget is checked
+        # between mating pairs and between patches
+        exp = generate_taillard(100, 20, 1539989115)
+        config = EngineConfig(
+            transfer_mode="ri", transfer_period=1, time_budget=0.3, rng_seed=1
+        )
+        t0 = time.perf_counter()
+        result = run(TaskPair(exp, ImpTsk("lsp", 20)), config)
+        assert time.perf_counter() - t0 < 2.0
+        assert result.trace[-1].generation == result.generations
+        assert result.best_makespan == makespan(exp.matrix, list(result.best_perm))
 
     def test_wall_clock_budget_terminates(self, fig2_matrix):
         pair = make_pair(fig2_matrix)

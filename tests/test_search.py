@@ -2,9 +2,9 @@ from random import Random
 
 import pytest
 
-from flowmt.errors import InvalidPermutationError
+from flowmt.errors import InvalidPermutationError, ParameterError
 from flowmt.instance import ProblemMatrix, makespan
-from flowmt.search import SearchBudget, insert_local_search, neh, solve_eat
+from flowmt.search import insert_local_search, neh, solve_eat
 
 from conftest import random_matrix
 from oracles import brute_force_optimum, neh_reference
@@ -24,7 +24,7 @@ class TestNeh:
         mat = random_matrix(rng, 6, 1)
         priority = rng.sample(range(1, 7), 6)
         # every insertion position yields the same column sum, so the
-        # earliest-position rule keeps the priority order itself
+        # latest-position rule keeps the priority order itself
         assert neh(mat, priority) == priority
 
     def test_matches_reference_on_fig2(self, fig2_matrix):
@@ -66,7 +66,7 @@ class TestInsertLocalSearch:
         for trial in range(50):
             perm = rng.sample(range(1, 11), 10)
             before = makespan(mat, perm)
-            out = insert_local_search(mat, perm, SearchBudget(ls_intensity=500), Random(trial))
+            out = insert_local_search(mat, perm, 500, Random(trial))
             assert makespan(mat, out) <= before
 
     def test_deterministic_given_seed(self, fig2_matrix):
@@ -75,16 +75,9 @@ class TestInsertLocalSearch:
         b = insert_local_search(fig2_matrix, perm, 100, Random(5))
         assert a == b
 
-    def test_restricted_moves_only_touch_subset(self, fig2_matrix):
-        perm = list(range(1, 11))
-        restrict = {4, 5, 7, 9}
-        out = insert_local_search(fig2_matrix, perm, 200, Random(6), restrict=restrict)
-        assert [j for j in out if j not in restrict] == [j for j in perm if j not in restrict]
-
-    def test_restrict_below_two_jobs_is_noop(self, fig2_matrix):
-        perm = list(range(1, 11))
-        out = insert_local_search(fig2_matrix, perm, 50, Random(7), restrict={3})
-        assert out == perm
+    def test_negative_budget_rejected(self, fig2_matrix):
+        with pytest.raises(ParameterError):
+            insert_local_search(fig2_matrix, list(range(1, 11)), -1, Random(1))
 
     def test_partial_permutation_supported(self, fig2_matrix):
         partial = [5, 9, 4, 7]
@@ -98,14 +91,18 @@ class TestSolveEat:
         rng = Random(25)
         mat = random_matrix(rng, 6, 4)
         seed_perm = neh(mat, lst_priority(mat))
-        assert solve_eat(mat, SearchBudget(sa_iterations=0), Random(1)) == seed_perm
+        assert solve_eat(mat, 0, Random(1)) == seed_perm
+
+    def test_negative_budget_rejected(self, fig2_matrix):
+        with pytest.raises(ParameterError):
+            solve_eat(fig2_matrix, -1, Random(1))
 
     def test_never_worse_than_seed(self):
         rng = Random(26)
         for trial in range(10):
             mat = random_matrix(rng, 7, 4)
             seed_val = makespan(mat, neh(mat, lst_priority(mat)))
-            out = solve_eat(mat, SearchBudget(sa_iterations=2000), Random(trial))
+            out = solve_eat(mat, 2000, Random(trial))
             assert makespan(mat, out) <= seed_val
 
     def test_reaches_exhaustive_optimum_on_small_tasks(self):
@@ -114,7 +111,7 @@ class TestSolveEat:
         best, _ = brute_force_optimum(mat.rows())
         hits = 0
         for trial in range(50):
-            out = solve_eat(mat, SearchBudget(sa_iterations=10000), Random(trial))
+            out = solve_eat(mat, 10000, Random(trial))
             if makespan(mat, out) == best:
                 hits += 1
         assert hits >= 45
