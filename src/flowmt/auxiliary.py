@@ -41,13 +41,11 @@ class EatSpec:
     order.
     """
 
-    source: str
     measure: str
     k: int
     ranking: tuple[int, ...]
     g: int
     submatrix: ProblemMatrix
-    seed: int | None = None
 
     @property
     def selected(self) -> tuple[int, ...]:
@@ -139,8 +137,6 @@ def build_eat(
     measure: str,
     k: int,
     rng=None,
-    source: str = "",
-    seed: int | None = None,
     ranking=None,
 ) -> EatSpec:
     """Keep the top k percent of jobs under the given measure.
@@ -163,11 +159,9 @@ def build_eat(
     selected = ranking[:g]
     sub = np.stack([matrix.p[job - 1] for job in selected])
     return EatSpec(
-        source=source,
         measure=kind,
         k=k,
         ranking=tuple(ranking),
         g=g,
         submatrix=ProblemMatrix(sub),
-        seed=seed,
     )

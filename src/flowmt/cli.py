@@ -70,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="ri", choices=PATCH_STRATEGIES)
     p.add_argument("--eat-perm", required=True, help="comma-separated job sequence")
     p.add_argument("--measure", default="lsp", choices=MEASURES)
-    p.add_argument("--ratio", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve", help="run the multitasking engine on an instance")
@@ -122,10 +121,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_build_eat(args) -> int:
     inst = load_instance_file(args.instance)
-    eat = build_eat(
-        inst.matrix, args.measure, args.ratio,
-        rng=Random(args.seed), source=inst.name, seed=args.seed,
-    )
+    eat = build_eat(inst.matrix, args.measure, args.ratio, rng=Random(args.seed))
     text = write_instance(Instance(eat.submatrix, name=f"{inst.name}-eat"))
     if args.out:
         Path(args.out).write_text(text)
@@ -207,10 +203,14 @@ def _parse_sweep_config(text: str, base_dir: Path):
             instances.append(load_instance_file(base_dir / value))
         elif key == "measures":
             measures = [tok.strip().lower() for tok in value.split(",") if tok.strip()]
-        elif key == "ratios":
-            ratios = [int(tok) for tok in value.split(",") if tok.strip()]
-        elif key == "seed":
-            seed = int(value)
+        elif key in ("ratios", "seed"):
+            try:
+                if key == "ratios":
+                    ratios = [int(tok) for tok in value.split(",") if tok.strip()]
+                else:
+                    seed = int(value)
+            except ValueError:
+                raise ConfigError(f"line {line_no}: bad value for {key}: {value!r}") from None
         elif key == "out":
             out = value
         else:

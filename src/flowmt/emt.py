@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .auxiliary import EatSpec, MEASURES, build_eat
 from .errors import ConfigError, UnderfullPoolError
-from .instance import Instance, ProblemMatrix, _makespan_unchecked
+from .instance import Instance, _makespan_unchecked
 from .search import insert_local_search
 from .transfer import (
     default_key_values,
@@ -61,10 +61,6 @@ class ImpTsk:
         if not 10 <= self.k <= 90:
             raise ConfigError(f"sampling ratio {self.k} outside 10..90")
 
-    @property
-    def label(self) -> str:
-        return f"{self.measure.lower()}-{self.k}"
-
 
 @dataclass(frozen=True)
 class RndTsk:
@@ -76,10 +72,6 @@ class RndTsk:
     def __post_init__(self):
         if self.kind not in (1, 2, 3):
             raise ConfigError(f"random-pairing kind must be 1, 2 or 3, got {self.kind}")
-
-    @property
-    def label(self) -> str:
-        return f"rndtsk{self.kind}"
 
 
 @dataclass
@@ -121,12 +113,9 @@ class EngineConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        enc = self.encoding.lower()
-        if enc == "permutation":
-            enc = "perm"
-        if enc not in ("realkey", "perm"):
+        self.encoding = self.encoding.lower()
+        if self.encoding not in ("realkey", "perm"):
             raise ConfigError(f"unknown encoding {self.encoding!r}")
-        self.encoding = enc
         self.transfer_mode = self.transfer_mode.lower()
         if self.transfer_mode not in ("ik", "ri"):
             raise ConfigError(f"unknown transfer mode {self.transfer_mode!r}")
@@ -199,56 +188,46 @@ class Engine:
             )
         self.aux: EatSpec | Instance | None = None  # resolved when the run starts
         self._uid = 0
-        self._resolved = False
 
     # -- task plumbing ------------------------------------------------------
 
     def resolve(self, rng: Random) -> None:
-        """Materialize the auxiliary task; counted inside the run's budget."""
+        """Materialize the auxiliary task; counted inside the run's budget.
+
+        Fills ``self.tasks``: task -> (matrix, jobs), where ``jobs`` is the set
+        a full sequence projects onto, or None when the task schedules every
+        gene.
+        """
         exp = self.pair.exp
         pairing = self.pair.pairing
         if isinstance(pairing, ImpTsk):
-            self.aux = build_eat(
-                exp.matrix,
-                pairing.measure,
-                pairing.k,
-                rng=rng,
-                source=exp.name,
-                seed=self.config.rng_seed,
-            )
-            self._eat_jobs = set(self.aux.S)
-            self._aux_matrix = exp.matrix  # rows of the kept jobs are the task
-            self.D = exp.n
+            self.aux = build_eat(exp.matrix, pairing.measure, pairing.k, rng=rng)
+            aux_matrix, aux_jobs = exp.matrix, self.aux.S  # rows of the kept jobs are the task
         else:
             self.aux = pairing.instance
-            self._eat_jobs = set(range(1, self.aux.n + 1))
-            self._aux_matrix = self.aux.matrix
-            self.D = max(exp.n, self.aux.n)
-        self._exp_jobs = set(range(1, exp.n + 1))
-        self._resolved = True
-
-    def _task_jobs(self, task: str) -> set:
-        return self._exp_jobs if task == TASK_EXP else self._eat_jobs
-
-    def _task_matrix(self, task: str) -> ProblemMatrix:
-        return self.pair.exp.matrix if task == TASK_EXP else self._aux_matrix
+            aux_matrix, aux_jobs = self.aux.matrix, range(1, self.aux.n + 1)
+        self.D = max(exp.n, aux_matrix.n)
+        self.tasks = {
+            task: (matrix, None if len(jobs) == self.D else set(jobs))
+            for task, matrix, jobs in (
+                (TASK_EXP, exp.matrix, range(1, exp.n + 1)),
+                (TASK_EAT, aux_matrix, aux_jobs),
+            )
+        }
 
     def decode_full(self, genotype: tuple) -> list[int]:
         if self.config.encoding == "realkey":
             return rov_decode(genotype)
         return list(genotype)
 
-    def _project(self, task: str, full: list[int]) -> list[int]:
-        jobs = self._task_jobs(task)
-        return full if len(jobs) == len(full) else project_to_eat(full, jobs)
-
     def decode_task(self, task: str, genotype: tuple) -> list[int]:
-        return self._project(task, self.decode_full(genotype))
+        full = self.decode_full(genotype)
+        jobs = self.tasks[task][1]
+        return full if jobs is None else project_to_eat(full, jobs)
 
     def evaluate(self, task: str, genotype: tuple) -> int:
-        perm = self.decode_task(task, genotype)
-        mat = self._task_matrix(task)
-        return _makespan_unchecked(mat.rows(), mat.m, perm)
+        mat = self.tasks[task][0]
+        return _makespan_unchecked(mat.rows(), mat.m, self.decode_task(task, genotype))
 
     def _next_uid(self) -> int:
         self._uid += 1
@@ -259,7 +238,7 @@ class Engine:
     def initialize(self, rng: Random) -> list[Individual]:
         """Uniform random population; everyone is scored on both tasks once and
         adopts the task where it ranks better (ties favor the expensive task)."""
-        if not self._resolved:
+        if self.aux is None:
             self.resolve(rng)
         pop = []
         for _ in range(self.config.population):
@@ -349,30 +328,25 @@ class Engine:
         ]
         return kids
 
-    @staticmethod
-    def _merge_back(full: list[int], improved_sub: list[int], jobs: set) -> list[int]:
-        it = iter(improved_sub)
-        return [next(it) if job in jobs else job for job in full]
-
     def improve(self, ind: Individual, rng: Random) -> Individual:
-        """INSERT local search on the individual's own task, genotype re-aligned
-        so decoding reproduces the improved sequence."""
-        if self.config.ls_intensity == 0:
-            return ind
+        """Score the individual on its own task, after an INSERT local search
+        when ``ls_intensity`` > 0 that re-aligns the genotype so decoding
+        reproduces the improved sequence."""
+        mat, jobs = self.tasks[ind.skill]
         full = self.decode_full(ind.genotype)
-        mat = self._task_matrix(ind.skill)
-        sub = self._project(ind.skill, full)
-        improved_sub = insert_local_search(mat, sub, self.config.ls_intensity, rng)
-        improved_full = (
-            improved_sub
-            if len(improved_sub) == len(full)
-            else self._merge_back(full, improved_sub, self._task_jobs(ind.skill))
-        )
-        if self.config.encoding == "realkey":
-            ind.genotype = tuple(perm_to_vector(ind.genotype, improved_full))
-        else:
-            ind.genotype = tuple(improved_full)
-        ind.objectives[ind.skill] = _makespan_unchecked(mat.rows(), mat.m, improved_sub)
+        seq = full if jobs is None else project_to_eat(full, jobs)
+        if self.config.ls_intensity > 0:
+            seq = insert_local_search(mat, seq, self.config.ls_intensity, rng)
+            if jobs is None:
+                full = seq
+            else:
+                it = iter(seq)
+                full = [next(it) if job in jobs else job for job in full]
+            if self.config.encoding == "realkey":
+                ind.genotype = tuple(perm_to_vector(ind.genotype, full))
+            else:
+                ind.genotype = tuple(full)
+        ind.objectives[ind.skill] = _makespan_unchecked(mat.rows(), mat.m, seq)
         return ind
 
     def explicit_transfer(
@@ -412,7 +386,9 @@ class Engine:
             ind = Individual(
                 genotype=genotype, skill=TASK_EXP, birth=generation, uid=self._next_uid()
             )
-            ind.objectives[TASK_EXP] = self.evaluate(TASK_EXP, genotype)
+            ind.objectives[TASK_EXP] = _makespan_unchecked(
+                exp_matrix.rows(), exp_matrix.m, complete
+            )
             out.append(ind)
         return out
 
@@ -484,9 +460,7 @@ class Engine:
                 if _past(deadline):
                     break  # select over what this generation has made so far
                 for kid in self.mate(pop[a], pop[b], rng, birth=gen):
-                    kid.objectives[kid.skill] = self.evaluate(kid.skill, kid.genotype)
-                    self.improve(kid, rng)
-                    offspring.append(kid)
+                    offspring.append(self.improve(kid, rng))
             offspring.extend(self.explicit_transfer(pop, gen, rng, deadline))
             pop = self.select(pop + offspring)
             for ind in offspring:

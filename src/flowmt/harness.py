@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -312,19 +313,10 @@ def _run_cell(args) -> RunRecord:
     )
 
 
-def _worker_count(config: CampaignConfig) -> int:
-    env = os.environ.get("FLOWMT_PARALLELISM")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"FLOWMT_PARALLELISM must be an integer, got {env!r}") from None
-    return max(1, config.parallelism)
-
-
 def read_runs_csv(path: str | Path) -> list[RunRecord]:
-    """Every row of a runs.csv; a row that is not a finished run record
-    raises ConfigError naming the file and line."""
+    """Every row of a runs.csv; an empty ``re`` (a journal row written before
+    the campaign finished) reads as None, and a malformed row raises
+    ConfigError naming the file and line."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -339,7 +331,7 @@ def read_runs_csv(path: str | Path) -> list[RunRecord]:
                         makespan=int(row["makespan"]),
                         elapsed_s=float(row["elapsed_s"]),
                         trace_path=row["trace"],
-                        re=float(row["re"]),
+                        re=float(row["re"]) if row["re"] else None,
                         re_basis=row["re_basis"],
                     )
                 )
@@ -350,24 +342,28 @@ def read_runs_csv(path: str | Path) -> list[RunRecord]:
     return records
 
 
+def _runs_row(r: RunRecord) -> list:
+    return [
+        r.algorithm,
+        r.instance,
+        r.run_index,
+        r.seed,
+        r.makespan,
+        "" if r.re is None else f"{r.re:.6f}",
+        r.re_basis,
+        f"{r.elapsed_s:.6f}",
+        r.trace_path,
+    ]
+
+
 def _write_runs_csv(path: Path, records: list[RunRecord]) -> None:
-    with open(path, "w", newline="") as fh:
+    """Replace ``path`` atomically: a crash leaves the old file or the new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUNS_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.algorithm,
-                    r.instance,
-                    r.run_index,
-                    r.seed,
-                    r.makespan,
-                    "" if r.re is None else f"{r.re:.6f}",
-                    r.re_basis,
-                    f"{r.elapsed_s:.6f}",
-                    r.trace_path,
-                ]
-            )
+        writer.writerows(_runs_row(r) for r in records)
+    os.replace(tmp, path)
 
 
 def write_metrics_csv(stream: TextIO, rows: list[MetricsRow]) -> None:
@@ -408,15 +404,21 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
         if (algo, name, run_index) not in done
     ]
 
-    workers = _worker_count(config)
-    if workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, pending))
-    else:
-        results = [_run_cell(args) for args in pending]
-
-    for r in results:
-        done[(r.algorithm, r.instance, r.run_index)] = r
+    # Journal each cell as it finishes (re columns empty until the end), so a
+    # campaign that stops early resumes without redoing finished cells.
+    with open(runs_path, "a", newline="") as journal, ExitStack() as stack:
+        writer = csv.writer(journal)
+        if journal.tell() == 0:
+            writer.writerow(RUNS_HEADER)
+        if config.parallelism > 1 and len(pending) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.parallelism))
+            results = pool.map(_run_cell, pending)
+        else:
+            results = map(_run_cell, pending)
+        for r in results:
+            writer.writerow(_runs_row(r))
+            journal.flush()
+            done[(r.algorithm, r.instance, r.run_index)] = r
 
     records = [done[(algo, name, run_index)] for algo, name, _rel, run_index in cells]
     records.sort(key=lambda r: (r.algorithm, r.instance, r.run_index))
@@ -462,9 +464,7 @@ def distance_sweep(
             rng = Random(seed + 1009 * i_idx + m_idx)
             _, ranking = importance_scores(inst.matrix, measure, rng)
             for ratio in ratios:
-                eat = build_eat(
-                    inst.matrix, measure, ratio, source=inst.name, ranking=ranking
-                )
+                eat = build_eat(inst.matrix, measure, ratio, ranking=ranking)
                 padded = zero_pad(eat, inst.n)
                 res = itdm(padded, inst.matrix)
                 bound = cos_theta_lower_bound(inst.matrix, eat.S)

@@ -66,7 +66,6 @@ def test_patch_command(fig2_file, capsys):
             "--strategy", "ri",
             "--eat-perm", "5,9,4,7",
             "--measure", "lsp",
-            "--ratio", "40",
         ]
     ) == 0
     out = capsys.readouterr().out
@@ -170,6 +169,15 @@ def test_distance_sweep_command(tmp_path, fig2_file, capsys):
     for row in rows:
         assert 0.0 <= float(row["d"]) <= 1.0
         assert float(row["cos_theta"]) >= float(row["bound"]) - 1e-12
+
+
+@pytest.mark.parametrize("bad_line", ["ratios=20,x", "seed=abc"])
+def test_distance_sweep_bad_number_names_line(tmp_path, fig2_file, capsys, bad_line):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"instance={fig2_file}\nmeasures=lsp\n{bad_line}\n")
+    assert main(["distance-sweep", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and bad_line.split("=")[0] in err
 
 
 def test_config_error_exit_code(tmp_path, capsys):

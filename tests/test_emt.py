@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+import flowmt.emt
+import flowmt.search
 from flowmt.auxiliary import build_eat
 from flowmt.emt import (
     TASK_EAT,
@@ -395,6 +397,26 @@ class TestRun:
         assert time.perf_counter() - t0 < 2.0
         assert result.trace[-1].generation == result.generations
         assert result.best_makespan == makespan(exp.matrix, list(result.best_perm))
+
+    @pytest.mark.parametrize("ls", [0, 5])
+    def test_each_offspring_is_evaluated_once(self, fig2_matrix, monkeypatch, ls):
+        calls = []
+        for module in (flowmt.emt, flowmt.search):
+            real = module._makespan_unchecked
+            monkeypatch.setattr(
+                module,
+                "_makespan_unchecked",
+                lambda *args, real=real: calls.append(1) or real(*args),
+            )
+        pop, gens = 8, 3
+        make_engine(
+            fig2_matrix, encoding="perm", transfer_mode="ik", ls_intensity=ls,
+            population=pop, max_generations=gens,
+        ).run()
+        # initialization scores everyone on both tasks; then each offspring
+        # costs its INSERT walk (start plus ls moves) and one final score
+        per_kid = ls + 2 if ls else 1
+        assert len(calls) == 2 * pop + gens * pop * per_kid
 
     def test_wall_clock_budget_terminates(self, fig2_matrix):
         pair = make_pair(fig2_matrix)

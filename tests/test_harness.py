@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from flowmt.distance import cos_theta_lower_bound
+from flowmt.emt import Engine
 from flowmt.errors import ConfigError, ParameterError
 from flowmt.harness import (
     CampaignConfig,
@@ -15,6 +16,7 @@ from flowmt.harness import (
     load_instance_file,
     parse_algorithm,
     parse_campaign_config,
+    read_runs_csv,
     relative_error,
     run_campaign,
 )
@@ -238,16 +240,44 @@ class TestRunCampaign:
         records, _ = run_campaign(config)
         assert records[0].re_basis == "best_known"
 
-    def test_parallel_workers_give_same_results(self, campaign_dir, monkeypatch):
+    def test_parallel_workers_give_same_results(self, campaign_dir):
         config = small_config(campaign_dir)
         run_campaign(config)
         serial = (campaign_dir / "out" / "runs.csv").read_bytes()
         import shutil
 
         shutil.rmtree(campaign_dir / "out")
-        monkeypatch.setenv("FLOWMT_PARALLELISM", "2")
-        run_campaign(small_config(campaign_dir))
+        run_campaign(small_config(campaign_dir, parallelism=2))
         assert (campaign_dir / "out" / "runs.csv").read_bytes() == serial
+
+    def test_failed_campaign_journals_finished_cells(self, tmp_path, monkeypatch):
+        rng = Random(31)
+        for name, n, m in (("a20x5", 20, 5), ("b20x10", 20, 10), ("aux", 10, 5)):
+            inst = Instance(random_matrix(rng, n, m), name=name)
+            (tmp_path / f"{name}.txt").write_text(write_instance(inst))
+        config = dict(
+            algorithms=["MFEA-I/RndTsk2:aux.txt/IK"],
+            runs=2,
+            max_generations=1,
+            population=6,
+            ls_intensity=2,
+            out_dir="out",
+            base_dir=str(tmp_path),
+        )
+        # the 10x5 auxiliary cannot pair with the 10-machine second instance
+        with pytest.raises(ConfigError, match="machines"):
+            run_campaign(CampaignConfig(instances=["a20x5.txt", "b20x10.txt"], **config))
+        journal = read_runs_csv(tmp_path / "out" / "runs.csv")
+        assert [(r.instance, r.run_index) for r in journal] == [("a20x5", 0), ("a20x5", 1)]
+        assert all(r.re is None for r in journal)
+
+        calls = []
+        real_run = Engine.run
+        monkeypatch.setattr(Engine, "run", lambda self: calls.append(1) or real_run(self))
+        records, _ = run_campaign(CampaignConfig(instances=["a20x5.txt"], **config))
+        assert calls == []
+        assert [r.makespan for r in records] == [r.makespan for r in journal]
+        assert all(r.re is not None for r in records)
 
 
 class TestDistanceSweep:
