@@ -17,9 +17,9 @@ re_basis column.
 from __future__ import annotations
 
 import csv
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -405,20 +405,32 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
     ]
 
     # Journal each cell as it finishes (re columns empty until the end), so a
-    # campaign that stops early resumes without redoing finished cells.
-    with open(runs_path, "a", newline="") as journal, ExitStack() as stack:
+    # campaign that stops early resumes without redoing finished cells. In
+    # parallel, the failure of the earliest failed cell is raised only once
+    # the pool has drained and every cell that did finish is journaled.
+    with open(runs_path, "a", newline="") as journal:
         writer = csv.writer(journal)
         if journal.tell() == 0:
             writer.writerow(RUNS_HEADER)
-        if config.parallelism > 1 and len(pending) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.parallelism))
-            results = pool.map(_run_cell, pending)
-        else:
-            results = map(_run_cell, pending)
-        for r in results:
+
+        def record(r: RunRecord) -> None:
             writer.writerow(_runs_row(r))
             journal.flush()
             done[(r.algorithm, r.instance, r.run_index)] = r
+
+        if config.parallelism > 1 and len(pending) > 1:
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=config.parallelism, mp_context=spawn) as pool:
+                futures = [pool.submit(_run_cell, cell) for cell in pending]
+                for future in as_completed(futures):
+                    if future.exception() is None:
+                        record(future.result())
+            for future in futures:
+                if future.exception() is not None:
+                    raise future.exception()
+        else:
+            for cell in pending:
+                record(_run_cell(cell))
 
     records = [done[(algo, name, run_index)] for algo, name, _rel, run_index in cells]
     records.sort(key=lambda r: (r.algorithm, r.instance, r.run_index))

@@ -1,8 +1,9 @@
 """Flowshop instances: processing-time matrices, makespan evaluation and file I/O.
 
 Jobs and machines are numbered from 1 in every public interface. Processing
-times are nonnegative integers and all makespan arithmetic stays in Python
-ints, so no tolerance is ever involved.
+times are nonnegative integers and all makespan arithmetic is exact integer
+arithmetic (Python ints, or int64 in the batch kernel), so no tolerance is
+ever involved.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ class ProblemMatrix:
             raise ParameterError("matrix needs at least one job and one machine")
         if (arr < 0).any():
             raise ParameterError("processing times must be nonnegative")
+        # every makespan is at most the sum of all times, so int64 batch
+        # evaluation cannot overflow when no time exceeds this share
+        if int(arr.max()) > np.iinfo(np.int64).max // arr.size:
+            raise ParameterError("processing times too large for 64-bit makespans")
         self.p = arr
 
     @property
@@ -126,6 +131,31 @@ def _makespan_unchecked(rows: list, m: int, perm: Sequence[int]) -> int:
             t += row[j]
             c[j] = t
     return c[m - 1]
+
+
+def _machine_completions(pt: np.ndarray, seqs: np.ndarray):
+    """Yield, machine by machine, the completion time of every listed job.
+
+    ``pt`` is the machine-major (m x n) time matrix and ``seqs`` holds
+    0-based job indices with the job order on its last axis. Each yield has
+    the shape of ``seqs``. On machine j with times T = cumsum(P_j) along the
+    order, C_j = T + cummax(C_{j-1} - T + P_j), so every machine is one
+    vectorised step and the arithmetic stays in int64.
+    """
+    done = np.zeros(seqs.shape, dtype=np.int64)
+    for row in pt:
+        times = row[seqs]
+        total = times.cumsum(axis=-1)
+        done = total + np.maximum.accumulate(done - total + times, axis=-1)
+        yield done
+
+
+def _makespans(p: np.ndarray, seqs) -> np.ndarray:
+    """Makespans of equal-length (possibly partial) 1-based job sequences,
+    one per row of ``seqs``, evaluated as a single batch."""
+    for last in _machine_completions(p.T, np.asarray(seqs, dtype=np.intp) - 1):
+        pass
+    return last[:, -1]
 
 
 def lower_bound(matrix: ProblemMatrix) -> int:

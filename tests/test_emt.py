@@ -385,9 +385,9 @@ class TestRun:
             assert reused.trace == fresh.trace
 
     def test_wall_clock_budget_holds_within_a_generation(self):
-        # a generation here takes several seconds and one RI patch about 0.6 s,
-        # so the run ends near its 0.3 s budget only if the budget is checked
-        # between mating pairs and between patches
+        # a generation here takes about 0.3 s and one RI patch about 30 ms on
+        # two shared cores; the budget is checked between mating pairs and
+        # between patches, so the run ends near its 0.3 s budget
         exp = generate_taillard(100, 20, 1539989115)
         config = EngineConfig(
             transfer_mode="ri", transfer_period=1, time_budget=0.3, rng_seed=1
@@ -400,6 +400,7 @@ class TestRun:
 
     @pytest.mark.parametrize("ls", [0, 5])
     def test_each_offspring_is_evaluated_once(self, fig2_matrix, monkeypatch, ls):
+        # count scalar evaluations plus every sequence scored in a batch
         calls = []
         for module in (flowmt.emt, flowmt.search):
             real = module._makespan_unchecked
@@ -408,6 +409,12 @@ class TestRun:
                 "_makespan_unchecked",
                 lambda *args, real=real: calls.append(1) or real(*args),
             )
+        real_batch = flowmt.search._makespans
+        monkeypatch.setattr(
+            flowmt.search,
+            "_makespans",
+            lambda p, seqs: calls.extend([1] * len(seqs)) or real_batch(p, seqs),
+        )
         pop, gens = 8, 3
         make_engine(
             fig2_matrix, encoding="perm", transfer_mode="ik", ls_intensity=ls,

@@ -250,7 +250,8 @@ class TestRunCampaign:
         run_campaign(small_config(campaign_dir, parallelism=2))
         assert (campaign_dir / "out" / "runs.csv").read_bytes() == serial
 
-    def test_failed_campaign_journals_finished_cells(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _failing_campaign(tmp_path, **overrides):
         rng = Random(31)
         for name, n, m in (("a20x5", 20, 5), ("b20x10", 20, 10), ("aux", 10, 5)):
             inst = Instance(random_matrix(rng, n, m), name=name)
@@ -264,10 +265,12 @@ class TestRunCampaign:
             out_dir="out",
             base_dir=str(tmp_path),
         )
-        # the 10x5 auxiliary cannot pair with the 10-machine second instance
-        with pytest.raises(ConfigError, match="machines"):
-            run_campaign(CampaignConfig(instances=["a20x5.txt", "b20x10.txt"], **config))
+        config.update(overrides)
+        return config
+
+    def _assert_resumes_without_rerun(self, tmp_path, monkeypatch, config):
         journal = read_runs_csv(tmp_path / "out" / "runs.csv")
+        journal.sort(key=lambda r: r.run_index)
         assert [(r.instance, r.run_index) for r in journal] == [("a20x5", 0), ("a20x5", 1)]
         assert all(r.re is None for r in journal)
 
@@ -278,6 +281,22 @@ class TestRunCampaign:
         assert calls == []
         assert [r.makespan for r in records] == [r.makespan for r in journal]
         assert all(r.re is not None for r in records)
+
+    def test_failed_campaign_journals_finished_cells(self, tmp_path, monkeypatch):
+        config = self._failing_campaign(tmp_path)
+        # the 10x5 auxiliary cannot pair with the 10-machine second instance
+        with pytest.raises(ConfigError, match="machines"):
+            run_campaign(CampaignConfig(instances=["a20x5.txt", "b20x10.txt"], **config))
+        self._assert_resumes_without_rerun(tmp_path, monkeypatch, config)
+
+    def test_parallel_campaign_journals_cells_finished_after_a_failure(
+        self, tmp_path, monkeypatch
+    ):
+        config = self._failing_campaign(tmp_path, parallelism=2)
+        # the failing instance comes first, so every good cell finishes after it
+        with pytest.raises(ConfigError, match="machines"):
+            run_campaign(CampaignConfig(instances=["b20x10.txt", "a20x5.txt"], **config))
+        self._assert_resumes_without_rerun(tmp_path, monkeypatch, config)
 
 
 class TestDistanceSweep:

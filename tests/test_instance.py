@@ -13,6 +13,7 @@ from flowmt.errors import (
 from flowmt.instance import (
     Instance,
     ProblemMatrix,
+    _makespans,
     generate_taillard,
     lower_bound,
     makespan,
@@ -88,6 +89,38 @@ class TestMakespan:
     def test_empty_schedule_rejected(self, fig2_matrix):
         with pytest.raises(EmptyScheduleError):
             makespan(fig2_matrix, [])
+
+
+class TestBatchMakespans:
+    def _check(self, mat, seqs):
+        values = _makespans(mat.p, seqs)
+        assert values.dtype == np.int64
+        assert values.tolist() == [dp_makespan(mat.rows(), seq) for seq in seqs]
+
+    def test_agrees_with_dp_oracle_on_partial_sequences(self):
+        rng = Random(20261018)
+        for _ in range(100):
+            n, m = rng.randint(1, 8), rng.randint(1, 6)
+            mat = random_matrix(rng, n, m, low=0, high=rng.choice([3, 99]))
+            size = rng.randint(1, n)
+            self._check(mat, [rng.sample(range(1, n + 1), size) for _ in range(rng.randint(1, 6))])
+
+    def test_one_machine(self):
+        rng = Random(3)
+        mat = random_matrix(rng, 6, 1)
+        self._check(mat, [rng.sample(range(1, 7), 4) for _ in range(5)])
+
+    def test_one_job(self, fig2_matrix):
+        self._check(fig2_matrix, [[job] for job in range(1, 11)])
+
+    def test_all_zero_times(self):
+        mat = ProblemMatrix(np.zeros((5, 3), dtype=np.int64))
+        self._check(mat, [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
+
+    def test_large_times_stay_exact(self):
+        rng = Random(4)
+        mat = random_matrix(rng, 7, 4, low=10**12, high=10**12 + 999)
+        self._check(mat, [rng.sample(range(1, 8), 7) for _ in range(4)])
 
 
 class TestLowerBound:
@@ -193,6 +226,11 @@ class TestTypes:
     def test_negative_time_rejected(self):
         with pytest.raises(ParameterError):
             ProblemMatrix([[1, -2]])
+
+    def test_times_whose_sum_overflows_int64_rejected(self):
+        with pytest.raises(ParameterError, match="64-bit"):
+            ProblemMatrix([[2**62], [2**62]])
+        assert ProblemMatrix([[2**62 - 1], [2**62 - 1]]).n == 2
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ParameterError):

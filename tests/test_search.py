@@ -1,18 +1,46 @@
 from random import Random
 
+import numpy as np
 import pytest
 
 from flowmt.errors import InvalidPermutationError, ParameterError
 from flowmt.instance import ProblemMatrix, makespan
-from flowmt.search import insert_local_search, neh, solve_eat
+from flowmt.search import _insert_best, insert_local_search, neh, solve_eat
 
 from conftest import random_matrix
-from oracles import brute_force_optimum, neh_reference
+from oracles import brute_force_optimum, dp_makespan, neh_reference
 
 
 def lst_priority(matrix):
     sums = [(sum(row), job) for job, row in enumerate(matrix.rows(), start=1)]
     return [job for _, job in sorted(sums, key=lambda t: (-t[0], t[1]))]
+
+
+def tie_heavy_matrix(rng):
+    # few jobs, few machines and times 0..3, so many slots tie
+    return random_matrix(rng, rng.randint(1, 9), rng.randint(1, 4), low=0, high=3)
+
+
+def brute_force_insertion(times, seq, jobs, latest_ties):
+    seq = list(seq)
+    for job in jobs:
+        values = [dp_makespan(times, seq[:pos] + [job] + seq[pos:]) for pos in range(len(seq) + 1)]
+        best = min(values)
+        slots = [pos for pos, value in enumerate(values) if value == best]
+        seq.insert(slots[-1] if latest_ties else slots[0], job)
+    return seq
+
+
+class TestInsertBest:
+    @pytest.mark.parametrize("latest_ties", [True, False])
+    def test_matches_brute_force_best_slot(self, latest_ties):
+        rng = Random(29)
+        for _ in range(300):
+            mat = tie_heavy_matrix(rng)
+            perm = rng.sample(range(1, mat.n + 1), mat.n)
+            cut = rng.randint(0, mat.n)
+            expected = brute_force_insertion(mat.rows(), perm[:cut], perm[cut:], latest_ties)
+            assert _insert_best(mat, perm[:cut], perm[cut:], latest_ties) == expected
 
 
 class TestNeh:
@@ -39,6 +67,13 @@ class TestNeh:
         for _ in range(20):
             mat = random_matrix(rng, rng.randint(2, 9), rng.randint(1, 5))
             priority = lst_priority(mat)
+            assert neh(mat, priority) == neh_reference(mat.rows(), priority)[0]
+
+    def test_matches_reference_on_tie_heavy_instances(self):
+        rng = Random(30)
+        for _ in range(200):
+            mat = tie_heavy_matrix(rng)
+            priority = rng.sample(range(1, mat.n + 1), mat.n)
             assert neh(mat, priority) == neh_reference(mat.rows(), priority)[0]
 
     def test_invalid_priority_rejected(self, fig2_matrix):
@@ -78,6 +113,38 @@ class TestInsertLocalSearch:
     def test_negative_budget_rejected(self, fig2_matrix):
         with pytest.raises(ParameterError):
             insert_local_search(fig2_matrix, list(range(1, 11)), -1, Random(1))
+
+    @pytest.mark.parametrize("iterations", [0, 1, 50])
+    def test_draws_exactly_its_moves(self, fig2_matrix, iterations):
+        perm = [3, 7, 1, 9, 10, 2, 5, 8, 4]
+        rng, twin = Random(12), Random(12)
+        insert_local_search(fig2_matrix, perm, iterations, rng)
+        for _ in range(iterations):
+            twin.sample(range(len(perm)), 2)
+        assert rng.getstate() == twin.getstate()
+
+    def test_first_of_tied_minima_wins(self):
+        mat = ProblemMatrix(np.zeros((8, 3), dtype=np.int64))
+        perm = [4, 2, 8, 6, 1, 3, 7, 5]
+        assert insert_local_search(mat, perm, 40, Random(9)) == perm
+
+    def test_returns_best_of_the_walk(self):
+        rng = Random(31)
+        for trial in range(30):
+            mat = tie_heavy_matrix(rng)
+            perm = rng.sample(range(1, mat.n + 1), mat.n)
+            walk_rng, twin = Random(trial), Random(trial)
+            out = insert_local_search(mat, perm, 20, walk_rng)
+            # replay the walk move by move and keep the first strict improvement
+            cur = list(perm)
+            best, best_val = list(cur), dp_makespan(mat.rows(), cur)
+            if len(cur) >= 2:
+                for _ in range(20):
+                    i, j = sorted(twin.sample(range(len(cur)), 2))
+                    cur.insert(i, cur.pop(j))
+                    if dp_makespan(mat.rows(), cur) < best_val:
+                        best, best_val = list(cur), dp_makespan(mat.rows(), cur)
+            assert out == best
 
     def test_partial_permutation_supported(self, fig2_matrix):
         partial = [5, 9, 4, 7]
