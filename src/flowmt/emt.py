@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .auxiliary import EatSpec, MEASURES, build_eat
 from .errors import ConfigError, UnderfullPoolError
-from .instance import Instance, _makespan_unchecked
+from .instance import Instance, _makespans
 from .search import insert_local_search
 from .transfer import (
     default_key_values,
@@ -225,10 +225,6 @@ class Engine:
         jobs = self.tasks[task][1]
         return full if jobs is None else project_to_eat(full, jobs)
 
-    def evaluate(self, task: str, genotype: tuple) -> int:
-        mat = self.tasks[task][0]
-        return _makespan_unchecked(mat.rows(), mat.m, self.decode_task(task, genotype))
-
     def _next_uid(self) -> int:
         self._uid += 1
         return self._uid
@@ -248,10 +244,11 @@ class Engine:
                 seq = list(range(1, self.D + 1))
                 rng.shuffle(seq)
                 genotype = tuple(seq)
-            ind = Individual(genotype=genotype, skill=TASK_EXP, uid=self._next_uid())
-            ind.objectives[TASK_EXP] = self.evaluate(TASK_EXP, genotype)
-            ind.objectives[TASK_EAT] = self.evaluate(TASK_EAT, genotype)
-            pop.append(ind)
+            pop.append(Individual(genotype=genotype, skill=TASK_EXP, uid=self._next_uid()))
+        for task, (mat, _) in self.tasks.items():
+            seqs = [self.decode_task(task, ind.genotype) for ind in pop]
+            for ind, value in zip(pop, _makespans(mat.p, seqs).tolist()):
+                ind.objectives[task] = value
         ranks = {task: self._task_ranks(pop, task) for task in (TASK_EXP, TASK_EAT)}
         for ind in pop:
             if ranks[TASK_EAT][ind.uid] < ranks[TASK_EXP][ind.uid]:
@@ -329,14 +326,14 @@ class Engine:
         return kids
 
     def improve(self, ind: Individual, rng: Random) -> Individual:
-        """Score the individual on its own task, after an INSERT local search
-        when ``ls_intensity`` > 0 that re-aligns the genotype so decoding
-        reproduces the improved sequence."""
+        """Score the individual on its own task with the value of its INSERT
+        walk (``ls_intensity`` moves); after a walk of one move or more the
+        genotype is re-aligned so decoding reproduces the improved sequence."""
         mat, jobs = self.tasks[ind.skill]
         full = self.decode_full(ind.genotype)
         seq = full if jobs is None else project_to_eat(full, jobs)
+        seq, ind.objectives[ind.skill] = insert_local_search(mat, seq, self.config.ls_intensity, rng)
         if self.config.ls_intensity > 0:
-            seq = insert_local_search(mat, seq, self.config.ls_intensity, rng)
             if jobs is None:
                 full = seq
             else:
@@ -346,7 +343,6 @@ class Engine:
                 ind.genotype = tuple(perm_to_vector(ind.genotype, full))
             else:
                 ind.genotype = tuple(full)
-        ind.objectives[ind.skill] = _makespan_unchecked(mat.rows(), mat.m, seq)
         return ind
 
     def explicit_transfer(
@@ -372,7 +368,7 @@ class Engine:
             if ind.skill == TASK_EAT and TASK_EAT in ind.objectives
         ]
         donors.sort(key=lambda ind: (ind.objectives[TASK_EAT], ind.uid))
-        out = []
+        out, seqs = [], []
         exp_matrix = self.pair.exp.matrix
         for donor in donors[: config.transfer_count]:
             if _past(deadline):
@@ -383,13 +379,13 @@ class Engine:
                 genotype = tuple(perm_to_vector(default_key_values(self.D), complete))
             else:
                 genotype = tuple(complete)
-            ind = Individual(
-                genotype=genotype, skill=TASK_EXP, birth=generation, uid=self._next_uid()
+            out.append(
+                Individual(genotype=genotype, skill=TASK_EXP, birth=generation, uid=self._next_uid())
             )
-            ind.objectives[TASK_EXP] = _makespan_unchecked(
-                exp_matrix.rows(), exp_matrix.m, complete
-            )
-            out.append(ind)
+            seqs.append(complete)
+        if out:  # score every patched schedule in one batch
+            for ind, value in zip(out, _makespans(exp_matrix.p, seqs).tolist()):
+                ind.objectives[TASK_EXP] = value
         return out
 
     def _task_ranks(self, pool: list[Individual], task: str) -> dict:

@@ -224,6 +224,7 @@ def parse_instance(data: bytes | str, fmt: str = "canonical", name: str = "") ->
         )
 
     values = np.empty((expect_rows, expect_cols), dtype=np.int64)
+    limit = np.iinfo(np.int64).max // values.size  # the largest time ProblemMatrix accepts
     for r, (line_no, tokens) in enumerate(body):
         if len(tokens) != expect_cols:
             raise ParseError(
@@ -233,6 +234,8 @@ def parse_instance(data: bytes | str, fmt: str = "canonical", name: str = "") ->
             v = _parse_int(tok, line_no, cidx)
             if v < 0:
                 raise ParseError(f"negative processing time {v}", line_no, cidx)
+            if v > limit:
+                raise ParseError(f"processing time {v} too large for 64-bit makespans", line_no, cidx)
             values[r, cidx - 1] = v
 
     p = values if fmt == "canonical" else values.T.copy()

@@ -343,7 +343,10 @@ def test_c10_engine_invariants(tmp_path):
         offspring = []
         for a, b in zip(order[::2], order[1::2]):
             for kid in engine.mate(pop[a], pop[b], grng, birth=gen):
-                kid.objectives[kid.skill] = engine.evaluate(kid.skill, kid.genotype)
+                task_matrix = engine.tasks[kid.skill][0]
+                kid.objectives[kid.skill] = makespan(
+                    task_matrix, engine.decode_task(kid.skill, kid.genotype)
+                )
                 engine.improve(kid, grng)
                 offspring.append(kid)
         donors = sorted(

@@ -29,6 +29,11 @@ def make_pair(fig2_matrix, measure="lsp", k=40):
     return TaskPair(Instance(fig2_matrix, name="fig2"), ImpTsk(measure, k))
 
 
+def rescore(eng, task, genotype):
+    """A genotype's objective on one task, from the checked scalar evaluator."""
+    return makespan(eng.tasks[task][0], eng.decode_task(task, genotype))
+
+
 def make_engine(fig2_matrix, **overrides):
     defaults = dict(
         population=8,
@@ -178,7 +183,7 @@ class TestImprove:
             eng.improve(ind, rng)
             # decoding reproduces the improved sequence: the stored objective
             # must equal re-evaluating the genotype from scratch
-            assert ind.objectives[ind.skill] == eng.evaluate(ind.skill, ind.genotype)
+            assert ind.objectives[ind.skill] == rescore(eng, ind.skill, ind.genotype)
             assert sorted(rov_decode(ind.genotype)) == list(range(1, 11))
 
     def test_monotone_over_seeded_offspring(self, fig2_matrix):
@@ -189,7 +194,7 @@ class TestImprove:
             parents = rng.sample(pop, 2)
             kids = eng.mate(parents[0], parents[1], rng)
             for kid in kids:
-                kid.objectives[kid.skill] = eng.evaluate(kid.skill, kid.genotype)
+                kid.objectives[kid.skill] = rescore(eng, kid.skill, kid.genotype)
                 before = kid.objectives[kid.skill]
                 eng.improve(kid, rng)
                 assert kid.objectives[kid.skill] <= before
@@ -199,7 +204,7 @@ class TestImprove:
         eng.resolve(Random(13))
         genotype = tuple(Random(14).random() for _ in range(10))
         ind = Individual(genotype=genotype, skill=TASK_EAT, uid=eng._next_uid())
-        ind.objectives[TASK_EAT] = eng.evaluate(TASK_EAT, genotype)
+        ind.objectives[TASK_EAT] = rescore(eng, TASK_EAT, genotype)
         before_full = rov_decode(genotype)
         eng.improve(ind, Random(15))
         after_full = rov_decode(ind.genotype)
@@ -398,32 +403,48 @@ class TestRun:
         assert result.trace[-1].generation == result.generations
         assert result.best_makespan == makespan(exp.matrix, list(result.best_perm))
 
+    def test_wall_clock_budget_holds_within_a_long_generation(self):
+        # with 2000 INSERT moves one walk takes about 85 ms on two shared
+        # cores, so a generation of 100 kids takes about 8.5 s and a mating
+        # pair about 0.17 s: a deadline checked only between generations
+        # would overrun the 2 s bound several times over
+        exp = generate_taillard(100, 20, 1539989115)
+        config = EngineConfig(
+            transfer_mode="ri", transfer_period=1, ls_intensity=2000, time_budget=0.3, rng_seed=1
+        )
+        t0 = time.perf_counter()
+        result = run(TaskPair(exp, ImpTsk("lsp", 20)), config)
+        assert time.perf_counter() - t0 < 2.0
+        assert result.trace[-1].generation == result.generations
+
     @pytest.mark.parametrize("ls", [0, 5])
     def test_each_offspring_is_evaluated_once(self, fig2_matrix, monkeypatch, ls):
-        # count scalar evaluations plus every sequence scored in a batch
+        # count every sequence scored in a batch plus any scalar evaluation,
+        # wherever the engine or the search module binds an evaluator
         calls = []
         for module in (flowmt.emt, flowmt.search):
-            real = module._makespan_unchecked
-            monkeypatch.setattr(
-                module,
-                "_makespan_unchecked",
-                lambda *args, real=real: calls.append(1) or real(*args),
-            )
-        real_batch = flowmt.search._makespans
-        monkeypatch.setattr(
-            flowmt.search,
-            "_makespans",
-            lambda p, seqs: calls.extend([1] * len(seqs)) or real_batch(p, seqs),
-        )
+            if hasattr(module, "_makespans"):
+                real = module._makespans
+                monkeypatch.setattr(
+                    module,
+                    "_makespans",
+                    lambda p, seqs, real=real: calls.extend([1] * len(seqs)) or real(p, seqs),
+                )
+            if hasattr(module, "_makespan_unchecked"):
+                real = module._makespan_unchecked
+                monkeypatch.setattr(
+                    module,
+                    "_makespan_unchecked",
+                    lambda *args, real=real: calls.append(1) or real(*args),
+                )
         pop, gens = 8, 3
         make_engine(
             fig2_matrix, encoding="perm", transfer_mode="ik", ls_intensity=ls,
             population=pop, max_generations=gens,
         ).run()
         # initialization scores everyone on both tasks; then each offspring
-        # costs its INSERT walk (start plus ls moves) and one final score
-        per_kid = ls + 2 if ls else 1
-        assert len(calls) == 2 * pop + gens * pop * per_kid
+        # costs only its INSERT walk (start plus ls moves), which sets its score
+        assert len(calls) == 2 * pop + gens * pop * (ls + 1)
 
     def test_wall_clock_budget_terminates(self, fig2_matrix):
         pair = make_pair(fig2_matrix)

@@ -179,6 +179,20 @@ class TestParsing:
         with pytest.raises(ParseError, match="negative"):
             parse_instance("1 2\n3 -1")
 
+    @pytest.mark.parametrize(
+        "text, fmt, line, column",
+        [
+            ("1 2\n3 99999999999999999999", "canonical", 2, 2),
+            ("1 2\n3\n99999999999999999999", "taillard", 3, 1),
+            (f"2 2\n1 2\n3 {2**63 // 4}", "canonical", 3, 2),
+        ],
+        ids=["canonical", "taillard", "sum-may-overflow"],
+    )
+    def test_time_too_large_for_int64_reports_position(self, text, fmt, line, column):
+        with pytest.raises(ParseError, match="too large") as err:
+            parse_instance(text, fmt=fmt)
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_missing_rows_rejected(self):
         with pytest.raises(ParseError):
             parse_instance("3 2\n1 2")

@@ -3,7 +3,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from flowmt.errors import InvalidPermutationError, ParameterError
+from flowmt.errors import EmptyScheduleError, InvalidPermutationError, ParameterError
 from flowmt.instance import ProblemMatrix, makespan
 from flowmt.search import _insert_best, insert_local_search, neh, solve_eat
 
@@ -81,18 +81,37 @@ class TestNeh:
             neh(fig2_matrix, [1, 2, 3])
 
 
+def walk(matrix, perm, iterations, rng):
+    """Run the INSERT walk and check the makespan it returns against the oracle."""
+    seq, value = insert_local_search(matrix, perm, iterations, rng)
+    assert type(value) is int
+    assert value == dp_makespan(matrix.rows(), seq)
+    return seq
+
+
 class TestInsertLocalSearch:
     def test_zero_budget_returns_input(self, fig2_matrix):
         perm = list(range(1, 11))
-        out = insert_local_search(fig2_matrix, perm, 0, Random(1))
+        out = walk(fig2_matrix, perm, 0, Random(1))
         assert out == perm
+
+    def test_one_job_draws_nothing_and_returns_its_row_sum(self, fig2_matrix):
+        rng, twin = Random(3), Random(3)
+        out, value = insert_local_search(fig2_matrix, [7], 50, rng)
+        assert out == [7]
+        assert value == sum(fig2_matrix.rows()[6]) == dp_makespan(fig2_matrix.rows(), [7])
+        assert rng.getstate() == twin.getstate()
+
+    def test_empty_input_rejected(self, fig2_matrix):
+        with pytest.raises(EmptyScheduleError):
+            insert_local_search(fig2_matrix, [], 5, Random(1))
 
     def test_two_jobs_finds_best_order(self):
         rng = Random(23)
         for _ in range(10):
             mat = random_matrix(rng, 2, 3)
             best = min(makespan(mat, [1, 2]), makespan(mat, [2, 1]))
-            out = insert_local_search(mat, [1, 2], 5, rng)
+            out = walk(mat, [1, 2], 5, rng)
             assert makespan(mat, out) == best
 
     def test_never_worse_than_input(self):
@@ -101,13 +120,13 @@ class TestInsertLocalSearch:
         for trial in range(50):
             perm = rng.sample(range(1, 11), 10)
             before = makespan(mat, perm)
-            out = insert_local_search(mat, perm, 500, Random(trial))
+            out = walk(mat, perm, 500, Random(trial))
             assert makespan(mat, out) <= before
 
     def test_deterministic_given_seed(self, fig2_matrix):
         perm = list(range(1, 11))
-        a = insert_local_search(fig2_matrix, perm, 100, Random(5))
-        b = insert_local_search(fig2_matrix, perm, 100, Random(5))
+        a = walk(fig2_matrix, perm, 100, Random(5))
+        b = walk(fig2_matrix, perm, 100, Random(5))
         assert a == b
 
     def test_negative_budget_rejected(self, fig2_matrix):
@@ -118,7 +137,7 @@ class TestInsertLocalSearch:
     def test_draws_exactly_its_moves(self, fig2_matrix, iterations):
         perm = [3, 7, 1, 9, 10, 2, 5, 8, 4]
         rng, twin = Random(12), Random(12)
-        insert_local_search(fig2_matrix, perm, iterations, rng)
+        walk(fig2_matrix, perm, iterations, rng)
         for _ in range(iterations):
             twin.sample(range(len(perm)), 2)
         assert rng.getstate() == twin.getstate()
@@ -126,7 +145,7 @@ class TestInsertLocalSearch:
     def test_first_of_tied_minima_wins(self):
         mat = ProblemMatrix(np.zeros((8, 3), dtype=np.int64))
         perm = [4, 2, 8, 6, 1, 3, 7, 5]
-        assert insert_local_search(mat, perm, 40, Random(9)) == perm
+        assert walk(mat, perm, 40, Random(9)) == perm
 
     def test_returns_best_of_the_walk(self):
         rng = Random(31)
@@ -134,7 +153,7 @@ class TestInsertLocalSearch:
             mat = tie_heavy_matrix(rng)
             perm = rng.sample(range(1, mat.n + 1), mat.n)
             walk_rng, twin = Random(trial), Random(trial)
-            out = insert_local_search(mat, perm, 20, walk_rng)
+            out = walk(mat, perm, 20, walk_rng)
             # replay the walk move by move and keep the first strict improvement
             cur = list(perm)
             best, best_val = list(cur), dp_makespan(mat.rows(), cur)
@@ -148,7 +167,7 @@ class TestInsertLocalSearch:
 
     def test_partial_permutation_supported(self, fig2_matrix):
         partial = [5, 9, 4, 7]
-        out = insert_local_search(fig2_matrix, partial, 100, Random(8))
+        out = walk(fig2_matrix, partial, 100, Random(8))
         assert sorted(out) == sorted(partial)
         assert makespan(fig2_matrix, out) <= makespan(fig2_matrix, partial)
 
