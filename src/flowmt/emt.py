@@ -14,6 +14,7 @@ directly. D is the largest job count across the task pair.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from random import Random
 from typing import NamedTuple
@@ -21,7 +22,7 @@ from typing import NamedTuple
 from .auxiliary import EatSpec, MEASURES, build_eat
 from .errors import ConfigError, UnderfullPoolError
 from .instance import Instance, _makespans
-from .search import insert_local_search
+from .search import _draw_walk, _walk_minima
 from .transfer import (
     default_key_values,
     patch,
@@ -46,6 +47,15 @@ __all__ = [
 
 TASK_EXP = "EXP"
 TASK_EAT = "EAT"
+
+# A generation's INSERT walks are scored in batches of about this many packed
+# int32 cells (512 KB) per task. The batch kernel's cost per row levels off
+# at about a thousand rows of 100 jobs, which the cap still holds (1310 rows).
+# The cap bounds how long scoring runs past the wall-clock deadline: scored
+# only at the end of a generation, 2000-move walks at 100x20 overrun a 0.3 s
+# budget by about 0.3 s. It also bounds memory: uncapped, solve-ri-100x20
+# peaks at 42.8 MB instead of 42.0 MB.
+_WALK_BATCH_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -169,6 +179,8 @@ class RunResult:
     elapsed_s: float
     pair: TaskPair
     config: EngineConfig
+    stopped_by: str = "generations"  # "generations" or "budget"
+    overrun_s: float = 0.0  # time past the deadline; zeroed like elapsed_s
 
 
 def _past(deadline: float | None) -> bool:
@@ -325,25 +337,37 @@ class Engine:
         ]
         return kids
 
-    def improve(self, ind: Individual, rng: Random) -> Individual:
-        """Score the individual on its own task with the value of its INSERT
-        walk (``ls_intensity`` moves); after a walk of one move or more the
-        genotype is re-aligned so decoding reproduces the improved sequence."""
-        mat, jobs = self.tasks[ind.skill]
-        full = self.decode_full(ind.genotype)
-        seq = full if jobs is None else project_to_eat(full, jobs)
-        seq, ind.objectives[ind.skill] = insert_local_search(mat, seq, self.config.ls_intensity, rng)
-        if self.config.ls_intensity > 0:
+    def draw(self, ind: Individual, rng: Random) -> array:
+        """The individual's INSERT walk (``ls_intensity`` moves) on its own
+        task, packed for ``improve``."""
+        seq = self.decode_task(ind.skill, ind.genotype)
+        return _draw_walk(seq, self.config.ls_intensity, rng)
+
+    def improve(self, kids: list[Individual], rows: array) -> None:
+        """Score the walks of ``kids``, all skilled at one task and drawn in
+        order by ``draw`` into ``rows``, in one batch.
+
+        Each kid's objective is the first minimum of its walk; after walks of
+        one move or more its genotype is re-aligned so decoding reproduces
+        that sequence.
+        """
+        task = kids[0].skill
+        mat, jobs = self.tasks[task]
+        length = self.D if jobs is None else len(jobs)
+        seqs, values = _walk_minima(mat.p, rows, len(kids), length)
+        for ind, seq, value in zip(kids, seqs, values):
+            ind.objectives[task] = value
+            if self.config.ls_intensity == 0:
+                continue
             if jobs is None:
                 full = seq
             else:
                 it = iter(seq)
-                full = [next(it) if job in jobs else job for job in full]
+                full = [next(it) if job in jobs else job for job in self.decode_full(ind.genotype)]
             if self.config.encoding == "realkey":
                 ind.genotype = tuple(perm_to_vector(ind.genotype, full))
             else:
                 ind.genotype = tuple(full)
-        return ind
 
     def explicit_transfer(
         self,
@@ -425,13 +449,13 @@ class Engine:
         def elapsed() -> float:
             return 0.0 if config.deterministic else time.perf_counter() - start
 
-        def stopped(done_generations: int) -> bool:
+        def stop_reason(done_generations: int) -> str | None:
             if (
                 config.max_generations is not None
                 and done_generations >= config.max_generations
             ):
-                return True
-            return _past(deadline)
+                return "generations"
+            return "budget" if _past(deadline) else None
 
         rng = Random(config.rng_seed)
         self.resolve(rng)
@@ -447,16 +471,27 @@ class Engine:
         trace = [TracePoint(elapsed(), 0, best_val)]
 
         gen = 0
-        while not stopped(gen):
+        while (stopped_by := stop_reason(gen)) is None:
             gen += 1
             order = list(range(len(pop)))
             rng.shuffle(order)
-            offspring = []
+            offspring = []  # in mating order: best tracking keeps the first of ties
+            pending = {task: ([], array("i")) for task in self.tasks}
             for a, b in zip(order[::2], order[1::2]):
                 if _past(deadline):
                     break  # select over what this generation has made so far
                 for kid in self.mate(pop[a], pop[b], rng, birth=gen):
-                    offspring.append(self.improve(kid, rng))
+                    kids, rows = pending[kid.skill]
+                    kids.append(kid)
+                    rows.extend(self.draw(kid, rng))
+                    offspring.append(kid)
+                    if len(rows) >= _WALK_BATCH_CELLS:
+                        self.improve(kids, rows)
+                        pending[kid.skill] = ([], array("i"))
+            for task in self.tasks:  # popped, so each batch is freed once scored
+                kids, rows = pending.pop(task)
+                if kids:
+                    self.improve(kids, rows)
             offspring.extend(self.explicit_transfer(pop, gen, rng, deadline))
             pop = self.select(pop + offspring)
             for ind in offspring:
@@ -466,14 +501,17 @@ class Engine:
                     best_perm = tuple(self.decode_task(TASK_EXP, ind.genotype))
             trace.append(TracePoint(elapsed(), gen, best_val))
 
+        elapsed_s = elapsed()  # a deadline implies a timed run, so this is the real time
         return RunResult(
             best_perm=best_perm,
             best_makespan=best_val,
             trace=trace,
             generations=gen,
-            elapsed_s=elapsed(),
+            elapsed_s=elapsed_s,
             pair=self.pair,
             config=config,
+            stopped_by=stopped_by,
+            overrun_s=0.0 if deadline is None else max(0.0, elapsed_s - config.time_budget),
         )
 
 

@@ -40,18 +40,29 @@ class ProblemMatrix:
     _rows: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=np.int64)
+        # an integer array is taken as it is; anything else is checked entry
+        # by entry as Python objects, so no value is rounded, parsed or
+        # wrapped on its way to int64
+        integer_array = isinstance(self.p, np.ndarray) and self.p.dtype.kind in "iu"
+        arr = self.p if integer_array else np.array(self.p, dtype=object)
         if arr.ndim != 2:
             raise ParameterError(f"processing-time matrix must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ParameterError("matrix needs at least one job and one machine")
-        if (arr < 0).any():
+        if not integer_array:
+            for (row, col), value in np.ndenumerate(arr):
+                if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+                    raise ParameterError(
+                        f"processing time {value!r} of job {row + 1} on machine {col + 1} "
+                        "is not an integer"
+                    )
+        if int(arr.min()) < 0:
             raise ParameterError("processing times must be nonnegative")
         # every makespan is at most the sum of all times, so int64 batch
         # evaluation cannot overflow when no time exceeds this share
         if int(arr.max()) > np.iinfo(np.int64).max // arr.size:
             raise ParameterError("processing times too large for 64-bit makespans")
-        self.p = arr
+        self.p = arr.astype(np.int64, copy=False)
 
     @property
     def n(self) -> int:
@@ -152,10 +163,33 @@ def _machine_completions(pt: np.ndarray, seqs: np.ndarray):
 
 def _makespans(p: np.ndarray, seqs) -> np.ndarray:
     """Makespans of equal-length (possibly partial) 1-based job sequences,
-    one per row of ``seqs``, evaluated as a single batch."""
-    for last in _machine_completions(p.T, np.asarray(seqs, dtype=np.intp) - 1):
-        pass
-    return last[:, -1]
+    one per row of ``seqs``, evaluated as a single batch.
+
+    The state is the (m, rows) int64 array of completion times of every row's
+    latest job. Position by position, and machine by machine within a
+    position, all rows advance at once: C[j] = max(C[j], C[j-1]) + p[job, j],
+    one vector max and one vector add over the rows. Running along the job
+    axis instead (``_machine_completions``) pays about 4 ns per element for
+    cumsum and maximum.accumulate, so this orientation wins on wide batches:
+    1310 rows of 100x20 take about 8 ms against 30 ms, while one 51-row walk
+    takes 3.3 ms against 1.2 ms (two shared cores, Python 3.11, numpy 2.4).
+    """
+    seqs = np.asarray(seqs)
+    n, m = p.shape
+    pt = np.zeros((m, n + 1), dtype=np.int64)  # column 0 unused: jobs index it 1-based
+    pt[:, 1:] = p.T
+    done = np.zeros((m, len(seqs)), dtype=np.int64)
+    times = np.empty_like(done)
+    first, rest = done[0], list(zip(done[1:], times[1:], done[:-1]))
+    for jobs in seqs.T:
+        # the jobs are valid; under the default mode="raise" numpy would
+        # gather into a temporary copy of ``times`` on every call
+        np.take(pt, jobs, axis=1, out=times, mode="clip")
+        first += times[0]
+        for done_j, times_j, done_prev in rest:
+            np.maximum(done_j, done_prev, out=done_j)
+            done_j += times_j
+    return done[-1]
 
 
 def lower_bound(matrix: ProblemMatrix) -> int:

@@ -347,7 +347,7 @@ def test_c10_engine_invariants(tmp_path):
                 kid.objectives[kid.skill] = makespan(
                     task_matrix, engine.decode_task(kid.skill, kid.genotype)
                 )
-                engine.improve(kid, grng)
+                engine.improve([kid], engine.draw(kid, grng))
                 offspring.append(kid)
         donors = sorted(
             (ind for ind in pop if ind.skill == TASK_EAT),

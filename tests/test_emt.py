@@ -172,7 +172,7 @@ class TestImprove:
         pop = eng.initialize(Random(7))
         ind = pop[0]
         before = ind.genotype
-        eng.improve(ind, Random(8))
+        eng.improve([ind], eng.draw(ind, Random(8)))
         assert ind.genotype == before
 
     def test_alignment_contract(self, fig2_matrix):
@@ -180,7 +180,7 @@ class TestImprove:
         pop = eng.initialize(Random(9))
         rng = Random(10)
         for ind in pop:
-            eng.improve(ind, rng)
+            eng.improve([ind], eng.draw(ind, rng))
             # decoding reproduces the improved sequence: the stored objective
             # must equal re-evaluating the genotype from scratch
             assert ind.objectives[ind.skill] == rescore(eng, ind.skill, ind.genotype)
@@ -196,7 +196,7 @@ class TestImprove:
             for kid in kids:
                 kid.objectives[kid.skill] = rescore(eng, kid.skill, kid.genotype)
                 before = kid.objectives[kid.skill]
-                eng.improve(kid, rng)
+                eng.improve([kid], eng.draw(kid, rng))
                 assert kid.objectives[kid.skill] <= before
 
     def test_eat_improve_keeps_noncritical_positions(self, fig2_matrix):
@@ -206,7 +206,7 @@ class TestImprove:
         ind = Individual(genotype=genotype, skill=TASK_EAT, uid=eng._next_uid())
         ind.objectives[TASK_EAT] = rescore(eng, TASK_EAT, genotype)
         before_full = rov_decode(genotype)
-        eng.improve(ind, Random(15))
+        eng.improve([ind], eng.draw(ind, Random(15)))
         after_full = rov_decode(ind.genotype)
         critical = eng.aux.S
         for pos, (a, b) in enumerate(zip(before_full, after_full)):
@@ -332,6 +332,25 @@ class TestRun:
         assert result.generations == 0
         assert result.best_makespan == makespan(fig2_matrix, list(result.best_perm))
 
+    def test_generation_limited_run_records_its_stop(self, fig2_matrix):
+        result = make_engine(fig2_matrix, max_generations=3).run()
+        assert result.stopped_by == "generations"
+        assert result.overrun_s == 0.0
+        # a budget far beyond the work still stops at the generation limit
+        late = make_engine(fig2_matrix, max_generations=2, time_budget=60.0).run()
+        assert late.generations == 2
+        assert late.stopped_by == "generations"
+        assert late.overrun_s == 0.0
+
+    def test_budget_run_records_its_stop_and_overrun(self, fig2_matrix):
+        pair = make_pair(fig2_matrix)
+        config = EngineConfig(population=8, ls_intensity=5, time_budget=0.2, rng_seed=3)
+        result = run(pair, config)
+        assert result.stopped_by == "budget"
+        assert result.elapsed_s >= 0.2
+        assert result.overrun_s == pytest.approx(result.elapsed_s - 0.2)
+        assert 0.0 <= result.overrun_s < 1.0
+
     def test_trace_non_increasing_and_population_constant(self, fig2_matrix):
         eng = make_engine(fig2_matrix, max_generations=6)
         result = eng.run()
@@ -404,10 +423,13 @@ class TestRun:
         assert result.best_makespan == makespan(exp.matrix, list(result.best_perm))
 
     def test_wall_clock_budget_holds_within_a_long_generation(self):
-        # with 2000 INSERT moves one walk takes about 85 ms on two shared
-        # cores, so a generation of 100 kids takes about 8.5 s and a mating
-        # pair about 0.17 s: a deadline checked only between generations
-        # would overrun the 2 s bound several times over
+        # with 2000 INSERT moves a 100-job walk is 200100 int32 cells (800 KB),
+        # past the batch cap, so it is scored alone as soon as it is drawn:
+        # about 9 ms to draw and 16 ms to score on two shared cores, 50 ms a
+        # mating pair. A generation of 100 kids takes about 2 s, so a deadline
+        # checked only between generations would overrun the 2 s bound, and
+        # walks scored only at the end of a generation would overrun the
+        # deadline by about the budget itself (0.31-0.37 s measured)
         exp = generate_taillard(100, 20, 1539989115)
         config = EngineConfig(
             transfer_mode="ri", transfer_period=1, ls_intensity=2000, time_budget=0.3, rng_seed=1
@@ -416,6 +438,58 @@ class TestRun:
         result = run(TaskPair(exp, ImpTsk("lsp", 20)), config)
         assert time.perf_counter() - t0 < 2.0
         assert result.trace[-1].generation == result.generations
+        assert result.stopped_by == "budget"
+        assert result.overrun_s < 0.2
+
+    def test_walk_batches_straddling_the_cap_score_every_kid(self, monkeypatch):
+        # 50 jobs and 1000 moves: an expensive-task walk is 50050 int32 cells,
+        # so a batch reaches the cap partway through its third walk, and a
+        # 10-job auxiliary walk (10010 cells) partway through its fourteenth
+        exp = generate_taillard(50, 5, 1958948863)
+        config = EngineConfig(
+            population=30, ls_intensity=1000, encoding="perm", transfer_mode="ik",
+            max_generations=2, rng_seed=3,
+        )
+
+        def traced_run():
+            """The run, its (task, kids, cells) batches, and for each call
+            to select the offspring's uids and stored objectives."""
+            eng = Engine(TaskPair(exp, ImpTsk("lsp", 20)), config)
+            improve, select = eng.improve, eng.select
+            batches, offspring = [], []
+
+            def record_improve(kids, rows):
+                batches.append((kids[0].skill, len(kids), len(rows)))
+                improve(kids, rows)
+
+            def record_select(pool):
+                kids = pool[config.population:]
+                for kid in kids:
+                    assert kid.objectives[kid.skill] == rescore(eng, kid.skill, kid.genotype)
+                offspring.append([(kid.uid, dict(kid.objectives)) for kid in kids])
+                return select(pool)
+
+            eng.improve, eng.select = record_improve, record_select
+            return eng.run(), batches, offspring
+
+        result, batches, offspring = traced_run()
+        cap = flowmt.emt._WALK_BATCH_CELLS
+        assert {task for task, _, cells in batches if cells >= cap} == {TASK_EXP, TASK_EAT}
+        assert len(batches) > 2 * config.max_generations
+        assert sum(kids for _, kids, _ in batches) == config.population * config.max_generations
+        assert len(offspring) == config.max_generations
+        for kids in offspring:
+            assert len(kids) == config.population
+            uids = [uid for uid, _ in kids]
+            assert uids == sorted(uids)
+
+        # scoring every walk alone gives the same run
+        monkeypatch.setattr(flowmt.emt, "_WALK_BATCH_CELLS", 1)
+        alone, alone_batches, alone_offspring = traced_run()
+        assert all(kids == 1 for _, kids, _ in alone_batches)
+        assert alone_offspring == offspring
+        assert alone.best_perm == result.best_perm
+        assert alone.trace == result.trace
 
     @pytest.mark.parametrize("ls", [0, 5])
     def test_each_offspring_is_evaluated_once(self, fig2_matrix, monkeypatch, ls):

@@ -1,3 +1,4 @@
+from array import array
 from random import Random
 
 import numpy as np
@@ -121,6 +122,20 @@ class TestBatchMakespans:
         rng = Random(4)
         mat = random_matrix(rng, 7, 4, low=10**12, high=10**12 + 999)
         self._check(mat, [rng.sample(range(1, 8), 7) for _ in range(4)])
+
+    def test_packed_int32_rows(self):
+        # the engine hands over its walks as packed int32 cells
+        rng = Random(5)
+        mat = random_matrix(rng, 9, 4)
+        seqs = [rng.sample(range(1, 10), 6) for _ in range(7)]
+        packed = array("i", [job for seq in seqs for job in seq])
+        rows = np.frombuffer(packed.tobytes(), dtype=np.int32).reshape(len(seqs), 6)
+        self._check(mat, rows)
+
+    def test_batch_of_thousands_of_rows(self):
+        rng = Random(6)
+        mat = random_matrix(rng, 30, 6)
+        self._check(mat, np.array([rng.sample(range(1, 31), 30) for _ in range(3000)], dtype=np.int32))
 
 
 class TestLowerBound:
@@ -249,6 +264,37 @@ class TestTypes:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ParameterError):
             ProblemMatrix(np.zeros((0, 3), dtype=int))
+
+    def test_fractional_time_rejected(self):
+        with pytest.raises(ParameterError, match="not an integer"):
+            ProblemMatrix([[1.5]])
+        with pytest.raises(ParameterError, match="not an integer"):
+            ProblemMatrix(np.array([[2.0, 3.0]]))
+
+    def test_boolean_time_rejected(self):
+        with pytest.raises(ParameterError, match="True of job 1 on machine 1"):
+            ProblemMatrix([[True, 2]])
+        with pytest.raises(ParameterError, match="not an integer"):
+            ProblemMatrix(np.array([[True]]))
+
+    def test_string_time_rejected(self):
+        with pytest.raises(ParameterError, match="'3' of job 2 on machine 1"):
+            ProblemMatrix([[1], ["3"]])
+
+    def test_time_beyond_int64_rejected(self):
+        with pytest.raises(ParameterError, match="64-bit"):
+            ProblemMatrix([[2**63]])
+        with pytest.raises(ParameterError, match="64-bit"):
+            ProblemMatrix(np.array([[2**63]], dtype=np.uint64))
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+    )
+    def test_integer_arrays_of_any_width_accepted(self, dtype):
+        mat = ProblemMatrix(np.array([[1, 2], [3, 4]], dtype=dtype))
+        assert mat.p.dtype == np.int64
+        assert mat.p.tolist() == [[1, 2], [3, 4]]
+        assert makespan(mat, [1, 2]) == 1 + 3 + 4
 
     def test_best_known_validated(self, fig2_matrix):
         with pytest.raises(ParameterError):
