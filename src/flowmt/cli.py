@@ -201,16 +201,21 @@ def _parse_sweep_config(text: str, base_dir: Path):
     for line_no, key, value in config_items(text):
         if key == "instance":
             instances.append(load_instance_file(base_dir / value))
-        elif key == "measures":
-            measures = [tok.strip().lower() for tok in value.split(",") if tok.strip()]
-        elif key in ("ratios", "seed"):
+        elif key in ("measures", "ratios", "seed"):
+            tokens = [tok.strip().lower() for tok in value.split(",") if tok.strip()]
             try:
-                if key == "ratios":
-                    ratios = [int(tok) for tok in value.split(",") if tok.strip()]
+                if key == "measures":
+                    measures = tokens
+                    bad = [tok for tok in tokens if tok not in MEASURES]
+                elif key == "ratios":
+                    ratios = [int(tok) for tok in tokens]
+                    bad = [k for k in ratios if not 10 <= k <= 90]
                 else:
-                    seed = int(value)
+                    seed, bad = int(value), []
             except ValueError:
-                raise ConfigError(f"line {line_no}: bad value for {key}: {value!r}") from None
+                bad = [value]
+            if bad:
+                raise ConfigError(f"line {line_no}: bad value for {key}: {bad[0]!r}")
         elif key == "out":
             out = value
         else:

@@ -187,6 +187,10 @@ def _past(deadline: float | None) -> bool:
     return deadline is not None and time.perf_counter() >= deadline
 
 
+def _rank_key(task: str):
+    return lambda ind: (ind.objectives[task], ind.birth, ind.uid)
+
+
 class Engine:
     """One engine instance owns one run's population state and rng."""
 
@@ -200,6 +204,12 @@ class Engine:
             )
         self.aux: EatSpec | Instance | None = None  # resolved when the run starts
         self._uid = 0
+        # the encoding's operators; the decoder is looked up per engine, so a
+        # wrapper installed on ``emt.rov_decode`` sees its calls
+        realkey = config.encoding == "realkey"
+        self._cross = self._sbx if realkey else self._ordered_crossover
+        self._mutate = self._gauss_mutate if realkey else self._swap_mutate
+        self.decode_full = rov_decode if realkey else list
 
     # -- task plumbing ------------------------------------------------------
 
@@ -227,10 +237,11 @@ class Engine:
             )
         }
 
-    def decode_full(self, genotype: tuple) -> list[int]:
+    def encode(self, keys: tuple | list, seq: list[int]) -> tuple:
+        """A genotype that decodes to ``seq``; real keys are taken from ``keys``."""
         if self.config.encoding == "realkey":
-            return rov_decode(genotype)
-        return list(genotype)
+            return tuple(perm_to_vector(keys, seq))
+        return tuple(seq)
 
     def decode_task(self, task: str, genotype: tuple) -> list[int]:
         full = self.decode_full(genotype)
@@ -314,22 +325,14 @@ class Engine:
         """Assortative mating with skill inheritance; returns two offspring."""
         same_skill = pa.skill == pb.skill
         if same_skill or rng.random() < self.config.rmp:
-            if self.config.encoding == "realkey":
-                g1, g2 = self._sbx(pa.genotype, pb.genotype, rng)
-            else:
-                g1, g2 = self._ordered_crossover(pa.genotype, pb.genotype, rng)
+            g1, g2 = self._cross(pa.genotype, pb.genotype, rng)
             if same_skill:
                 s1 = s2 = pa.skill
             else:
                 s1 = pa.skill if rng.random() < 0.5 else pb.skill
                 s2 = pa.skill if rng.random() < 0.5 else pb.skill
         else:
-            if self.config.encoding == "realkey":
-                g1 = self._gauss_mutate(pa.genotype, rng)
-                g2 = self._gauss_mutate(pb.genotype, rng)
-            else:
-                g1 = self._swap_mutate(pa.genotype, rng)
-                g2 = self._swap_mutate(pb.genotype, rng)
+            g1, g2 = self._mutate(pa.genotype, rng), self._mutate(pb.genotype, rng)
             s1, s2 = pa.skill, pb.skill
         kids = [
             Individual(genotype=g1, skill=s1, birth=birth, uid=self._next_uid()),
@@ -364,10 +367,7 @@ class Engine:
             else:
                 it = iter(seq)
                 full = [next(it) if job in jobs else job for job in self.decode_full(ind.genotype)]
-            if self.config.encoding == "realkey":
-                ind.genotype = tuple(perm_to_vector(ind.genotype, full))
-            else:
-                ind.genotype = tuple(full)
+            ind.genotype = self.encode(ind.genotype, full)
 
     def explicit_transfer(
         self,
@@ -386,26 +386,20 @@ class Engine:
         if config.transfer_mode != "ri" or generation % config.transfer_period != 0:
             return []
         eat: EatSpec = self.aux
-        donors = [
-            ind
-            for ind in population
-            if ind.skill == TASK_EAT and TASK_EAT in ind.objectives
-        ]
+        donors = [ind for ind in population if ind.skill == TASK_EAT]
         donors.sort(key=lambda ind: (ind.objectives[TASK_EAT], ind.uid))
         out, seqs = [], []
         exp_matrix = self.pair.exp.matrix
+        keys = default_key_values(self.D)
         for donor in donors[: config.transfer_count]:
             if _past(deadline):
                 break
             pi_eat = self.decode_task(TASK_EAT, donor.genotype)
             complete = patch("ri", pi_eat, list(eat.remaining), exp_matrix, rng)
-            if config.encoding == "realkey":
-                genotype = tuple(perm_to_vector(default_key_values(self.D), complete))
-            else:
-                genotype = tuple(complete)
-            out.append(
-                Individual(genotype=genotype, skill=TASK_EXP, birth=generation, uid=self._next_uid())
-            )
+            out.append(Individual(
+                genotype=self.encode(keys, complete), skill=TASK_EXP,
+                birth=generation, uid=self._next_uid(),
+            ))
             seqs.append(complete)
         if out:  # score every patched schedule in one batch
             for ind, value in zip(out, _makespans(exp_matrix.p, seqs).tolist()):
@@ -413,10 +407,16 @@ class Engine:
         return out
 
     def _task_ranks(self, pool: list[Individual], task: str) -> dict:
-        """1-based rank per uid on one task; unevaluated individuals are absent."""
+        """1-based rank per uid on one task; unevaluated individuals are absent.
+        Rank 1 is the lowest (objective, birth, uid)."""
         cands = [ind for ind in pool if task in ind.objectives]
-        cands.sort(key=lambda ind: (ind.objectives[task], ind.birth, ind.uid))
+        cands.sort(key=_rank_key(task))
         return {ind.uid: rank for rank, ind in enumerate(cands, start=1)}
+
+    def best(self, pool: list[Individual]) -> Individual:
+        """The expensive task's rank-1 individual; ``select`` always keeps it,
+        so after a selection it is the first-seen best of the whole run."""
+        return min((ind for ind in pool if TASK_EXP in ind.objectives), key=_rank_key(TASK_EXP))
 
     def select(self, pool: list[Individual]) -> list[Individual]:
         """Keep the highest-fitness individuals from parents plus offspring."""
@@ -461,21 +461,14 @@ class Engine:
         self.resolve(rng)
         pop = self.initialize(rng)
 
-        best_val = None
-        best_perm: tuple = ()
-        for ind in pop:
-            val = ind.objectives[TASK_EXP]
-            if best_val is None or val < best_val:
-                best_val = val
-                best_perm = tuple(self.decode_task(TASK_EXP, ind.genotype))
-        trace = [TracePoint(elapsed(), 0, best_val)]
+        trace = [TracePoint(elapsed(), 0, self.best(pop).objectives[TASK_EXP])]
 
         gen = 0
         while (stopped_by := stop_reason(gen)) is None:
             gen += 1
             order = list(range(len(pop)))
             rng.shuffle(order)
-            offspring = []  # in mating order: best tracking keeps the first of ties
+            offspring = []
             pending = {task: ([], array("i")) for task in self.tasks}
             for a, b in zip(order[::2], order[1::2]):
                 if _past(deadline):
@@ -494,17 +487,13 @@ class Engine:
                     self.improve(kids, rows)
             offspring.extend(self.explicit_transfer(pop, gen, rng, deadline))
             pop = self.select(pop + offspring)
-            for ind in offspring:
-                val = ind.objectives.get(TASK_EXP)
-                if val is not None and val < best_val:
-                    best_val = val
-                    best_perm = tuple(self.decode_task(TASK_EXP, ind.genotype))
-            trace.append(TracePoint(elapsed(), gen, best_val))
+            trace.append(TracePoint(elapsed(), gen, self.best(pop).objectives[TASK_EXP]))
 
         elapsed_s = elapsed()  # a deadline implies a timed run, so this is the real time
+        champion = self.best(pop)
         return RunResult(
-            best_perm=best_perm,
-            best_makespan=best_val,
+            best_perm=tuple(self.decode_task(TASK_EXP, champion.genotype)),
+            best_makespan=champion.objectives[TASK_EXP],
             trace=trace,
             generations=gen,
             elapsed_s=elapsed_s,

@@ -20,12 +20,12 @@ import csv
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from random import Random
 from typing import Iterator, TextIO
 
-from .auxiliary import MEASURES, build_eat, importance_scores
+from .auxiliary import build_eat, importance_scores
 from .distance import cos_theta_lower_bound, itdm, zero_pad
 from .emt import Engine, EngineConfig, ImpTsk, RndTsk, TaskPair
 from .errors import ConfigError, ParameterError, ParseError
@@ -178,12 +178,16 @@ def parse_algorithm(name: str) -> AlgorithmSpec:
         )
 
     measure, sep, ratio = low.partition("-")
-    if not sep or measure not in MEASURES:
+    if not sep:
         raise ConfigError(f"bad pairing {pairing!r} (use e.g. LSP-20 or rndtsk2:<file>)")
     try:
         k = int(ratio)
     except ValueError:
         raise ConfigError(f"bad sampling ratio in pairing {pairing!r}") from None
+    try:
+        ImpTsk(measure, k)  # checks measure and ratio now, not when the first cell runs
+    except ConfigError as exc:
+        raise ConfigError(f"bad pairing {pairing!r}: {exc}") from None
     return AlgorithmSpec(name=name, encoding=enc, transfer=mode, measure=measure, k=k)
 
 
@@ -211,8 +215,18 @@ class CampaignConfig:
             raise ConfigError("runs must be >= 1")
         if self.budget_factor is None and self.max_generations is None:
             raise ConfigError("set budget_factor, max_generations, or both")
+        seen: dict = {}
         for name in self.algorithms:
-            parse_algorithm(name)
+            _check_new_algorithm(seen, name)
+
+
+def _check_new_algorithm(seen: dict, name: str) -> None:
+    """Parse ``name`` and record it in ``seen``; an algorithm listed twice,
+    under any spelling, would run the same cells twice."""
+    spec = replace(parse_algorithm(name), name="")
+    if spec in seen:
+        raise ConfigError(f"algorithm {name!r} is already listed as {seen[spec]!r}")
+    seen[spec] = name
 
 
 def config_items(text: str) -> Iterator[tuple[int, str, str]]:
@@ -231,6 +245,7 @@ def config_items(text: str) -> Iterator[tuple[int, str, str]]:
 
 def parse_campaign_config(text: str, base_dir: str | Path = ".") -> CampaignConfig:
     kwargs: dict = {"instances": [], "algorithms": [], "base_dir": str(base_dir)}
+    seen: dict = {}
     scalars = {
         "runs": int,
         "base_seed": int,
@@ -245,6 +260,10 @@ def parse_campaign_config(text: str, base_dir: str | Path = ".") -> CampaignConf
         if key == "instance":
             kwargs["instances"].append(value)
         elif key == "algorithm":
+            try:
+                _check_new_algorithm(seen, value)
+            except ConfigError as exc:
+                raise ConfigError(f"line {line_no}: {exc}") from None
             kwargs["algorithms"].append(value)
         elif key in scalars:
             try:

@@ -91,6 +91,8 @@ def patch(
         raise PartitionError("partial solution and remaining jobs overlap")
     if placed | set(rest) != set(range(1, matrix.n + 1)):
         raise PartitionError("partial solution plus remaining jobs must cover all jobs")
+    if len(pi_eat) + len(rest) != matrix.n:
+        raise PartitionError("partial solution or remaining jobs repeat a job")
     if kind == "ai" and rest and rng is None:
         raise ParameterError("ai strategy needs a seeded rng")
 

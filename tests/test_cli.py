@@ -171,13 +171,33 @@ def test_distance_sweep_command(tmp_path, fig2_file, capsys):
         assert float(row["cos_theta"]) >= float(row["bound"]) - 1e-12
 
 
-@pytest.mark.parametrize("bad_line", ["ratios=20,x", "seed=abc"])
+@pytest.mark.parametrize("bad_line", ["ratios=20,x", "seed=abc", "measures=lsp,foo", "ratios=5"])
 def test_distance_sweep_bad_number_names_line(tmp_path, fig2_file, capsys, bad_line):
     config = tmp_path / "sweep.cfg"
     config.write_text(f"instance={fig2_file}\nmeasures=lsp\n{bad_line}\n")
     assert main(["distance-sweep", str(config)]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err and bad_line.split("=")[0] in err
+
+
+def test_experiment_bad_pairing_ratio_names_line_before_running(tmp_path, fig2_file, capsys):
+    config = tmp_path / "campaign.cfg"
+    config.write_text(
+        f"instance={fig2_file}\n"
+        "algorithm=MFEA-I/LSP-20/IK\n"
+        "algorithm=MFEA-I/LSP-5/RI\n"
+        "max_generations=1\npopulation=6\nls_intensity=1\nout_dir=out\n"
+    )
+    assert main(["experiment", str(config)]) == 2
+    assert "line 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_patch_repeated_job_exit_code(fig2_file, capsys):
+    assert main(["patch", str(fig2_file), "--eat-perm", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert "permutation" not in captured.out
+    assert "repeat" in captured.err
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -374,6 +374,55 @@ class TestRun:
         assert sorted(result.best_perm) == list(range(1, 11))
         assert makespan(fig2_matrix, list(result.best_perm)) == result.best_makespan
 
+    @pytest.mark.parametrize("encoding", ["realkey", "perm"])
+    @pytest.mark.parametrize("mode", ["ik", "ri"])
+    def test_trace_is_best_seen_so_far(self, encoding, mode):
+        # every expensive-task objective the run stores is set by initialize,
+        # improve or explicit_transfer; record each with its birth, uid and
+        # sequence, and check the trace and the result against the first-seen
+        # minimum
+        exp = generate_taillard(20, 5, 873654221)
+        config = EngineConfig(
+            population=10, ls_intensity=3, encoding=encoding, transfer_mode=mode,
+            transfer_period=2, transfer_count=3, max_generations=12, rng_seed=4,
+        )
+        eng = Engine(TaskPair(exp, ImpTsk("lsp", 20)), config)
+        seen = []  # (objective, birth, uid, sequence)
+        patched = []
+
+        def record(inds):
+            seen.extend(
+                (ind.objectives[TASK_EXP], ind.birth, ind.uid,
+                 tuple(eng.decode_task(TASK_EXP, ind.genotype)))
+                for ind in inds
+                if TASK_EXP in ind.objectives
+            )
+            return inds
+
+        def record_improve(kids, rows):
+            improve(kids, rows)
+            record(kids)
+
+        def record_transfer(*args):
+            out = record(transfer(*args))
+            patched.extend(out)
+            return out
+
+        initialize, improve, transfer = eng.initialize, eng.improve, eng.explicit_transfer
+        eng.initialize = lambda rng: record(initialize(rng))
+        eng.improve, eng.explicit_transfer = record_improve, record_transfer
+        result = eng.run()
+
+        assert len(result.trace) == config.max_generations + 1
+        for point in result.trace:
+            assert point.best_makespan == min(v for v, birth, _, _ in seen if birth <= point.generation)
+        assert result.trace[-1].best_makespan < result.trace[0].best_makespan
+        assert result.best_makespan == result.trace[-1].best_makespan
+        assert result.best_perm == min(seen)[3]
+        assert bool(patched) == (mode == "ri")
+        if encoding == "perm":
+            assert makespan(exp.matrix, list(result.best_perm)) == result.best_makespan
+
     def test_permutation_encoding_run(self, fig2_matrix):
         result = make_engine(fig2_matrix, encoding="perm", max_generations=4).run()
         assert sorted(result.best_perm) == list(range(1, 11))

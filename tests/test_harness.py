@@ -104,6 +104,8 @@ class TestAlgorithmNames:
             "MFEA-I/rndtsk9:f/IK",
             "MFEA-I/rndtsk2/IK",
             "MFEA-I/LSP-20/XX",
+            "MFEA-I/LSP-5/RI",
+            "MFEA-I/LSP-95/RI",
         ],
     )
     def test_bad_names_rejected(self, bad):
@@ -141,6 +143,25 @@ class TestCampaignConfigParsing:
     def test_missing_termination_rejected(self):
         with pytest.raises(ConfigError):
             parse_campaign_config("runs=2")
+
+    def test_bad_algorithm_line_named(self):
+        text = "max_generations=2\nalgorithm=MFEA-I/LSP-20/IK\nalgorithm=MFEA-I/LSP-5/RI\n"
+        with pytest.raises(ConfigError, match="line 3.*outside 10..90"):
+            parse_campaign_config(text)
+
+    @pytest.mark.parametrize("again", ["MFEA-I/LSP-20/RI", "mfea-i/lsp-20/ri"])
+    def test_repeated_algorithm_rejected(self, again):
+        # listed twice, each of its cells would run twice, with the same seeds
+        text = f"algorithm=MFEA-I/LSP-20/RI\nmax_generations=2\nalgorithm={again}\n"
+        with pytest.raises(ConfigError, match=f"line 3: algorithm '{again}' is already listed"):
+            parse_campaign_config(text)
+        with pytest.raises(ConfigError, match=f"'{again}' is already listed as 'MFEA-I/LSP-20/RI'"):
+            CampaignConfig(algorithms=["MFEA-I/LSP-20/RI", again], max_generations=2)
+        # other pairings, transfers and encodings are other algorithms
+        CampaignConfig(
+            algorithms=["MFEA-I/LSP-20/RI", "MFEA-I/LSP-30/RI", "MFEA-I/LSP-20/IK", "P-MFEA/LSP-20/RI"],
+            max_generations=2,
+        )
 
 
 @pytest.fixture

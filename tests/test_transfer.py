@@ -151,6 +151,14 @@ class TestPatch:
         with pytest.raises(PartitionError):
             patch("ri", [5, 9], [1, 2], fig2_matrix)
 
+    @pytest.mark.parametrize(
+        "pi_eat, remaining",
+        [([1, 1], list(range(2, 11))), ([1, 2], [3, 4, 5, 6, 7, 8, 9, 10, 10])],
+    )
+    def test_repeated_job_rejected(self, fig2_matrix, pi_eat, remaining):
+        with pytest.raises(PartitionError):
+            patch("ri", pi_eat, remaining, fig2_matrix)
+
     def test_unknown_strategy_rejected(self, fig2_matrix):
         with pytest.raises(ParameterError):
             patch("xx", [1], list(range(2, 11)), fig2_matrix)
