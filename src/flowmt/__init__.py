@@ -44,7 +44,7 @@ from .instance import (
     parse_instance,
     write_instance,
 )
-from .search import insert_local_search, neh, solve_eat
+from .search import neh, solve_eat
 from .transfer import (
     PATCH_STRATEGIES,
     default_key_values,

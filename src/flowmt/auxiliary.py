@@ -25,7 +25,7 @@ from .errors import ParameterError
 from .instance import ProblemMatrix
 from .search import neh
 
-__all__ = ["MEASURES", "EatSpec", "importance_scores", "build_eat"]
+__all__ = ["MEASURES", "EatSpec", "importance_scores", "critical_count", "build_eat"]
 
 MEASURES = ("lsp", "lst", "kk1", "kk2", "sr0", "sr1", "sr2", "rnd")
 
@@ -132,6 +132,17 @@ def importance_scores(
     return position, ranking
 
 
+def critical_count(n: int, k: int) -> int:
+    """How many of ``n`` jobs a ``k`` percent auxiliary task keeps; it must
+    keep at least one job and leave at least one out."""
+    g = (n * k) // 100
+    if g < 1:
+        raise ParameterError(f"ratio {k}% selects no jobs on {n} jobs")
+    if g >= n:
+        raise ParameterError(f"ratio {k}% keeps all {n} jobs; nothing saved")
+    return g
+
+
 def build_eat(
     matrix: ProblemMatrix,
     measure: str,
@@ -147,11 +158,7 @@ def build_eat(
     kind = _normalize_measure(measure)
     if not 10 <= k <= 90:
         raise ParameterError(f"sampling ratio {k} outside 10..90")
-    g = (matrix.n * k) // 100
-    if g < 1:
-        raise ParameterError(f"ratio {k}% selects no jobs on {matrix.n} jobs")
-    if g >= matrix.n:
-        raise ParameterError(f"ratio {k}% keeps all {matrix.n} jobs; nothing saved")
+    g = critical_count(matrix.n, k)
     if ranking is None:
         _, ranking = importance_scores(matrix, kind, rng)
     elif sorted(ranking) != list(range(1, matrix.n + 1)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import NamedTuple
 
-from .auxiliary import EatSpec, MEASURES, build_eat
+from .auxiliary import EatSpec, MEASURES, build_eat, critical_count
 from .errors import ConfigError, UnderfullPoolError
 from .instance import Instance, _makespans
 from .search import _draw_walk, _walk_minima
@@ -57,6 +57,13 @@ TASK_EAT = "EAT"
 # peaks at 42.8 MB instead of 42.0 MB.
 _WALK_BATCH_CELLS = 1 << 17
 
+# The fixed MFEA protocol (Gupta, Ong & Feng 2016) that every engine runs.
+_RMP = 0.3  # random mating probability of a cross-skill pair
+_SBX_ETA = 2.0  # SBX distribution index
+_MUT_SIGMA = 0.05  # std. deviation of the Gaussian mutation of a real key
+_TRANSFER_PERIOD = 5  # generations between explicit transfers
+_TRANSFER_COUNT = 5  # best auxiliary-skill donors patched per transfer
+
 
 @dataclass(frozen=True)
 class ImpTsk:
@@ -92,7 +99,9 @@ class TaskPair:
     pairing: ImpTsk | RndTsk
 
     def __post_init__(self):
-        if isinstance(self.pairing, RndTsk):
+        if isinstance(self.pairing, ImpTsk):
+            critical_count(self.exp.n, self.pairing.k)
+        else:
             aux = self.pairing.instance
             if aux.m != self.exp.m:
                 raise ConfigError(
@@ -110,12 +119,7 @@ class TaskPair:
 @dataclass
 class EngineConfig:
     population: int = 100
-    rmp: float = 0.3
-    transfer_period: int = 5
-    transfer_count: int = 5
     ls_intensity: int = 50
-    sbx_eta: float = 2.0
-    mut_sigma: float = 0.05
     encoding: str = "realkey"  # "realkey" or "perm"
     transfer_mode: str = "ik"  # "ik" or "ri"
     time_budget: float | None = None
@@ -131,16 +135,8 @@ class EngineConfig:
             raise ConfigError(f"unknown transfer mode {self.transfer_mode!r}")
         if self.population < 2 or self.population % 2:
             raise ConfigError("population must be an even number >= 2")
-        if not 0.0 <= self.rmp <= 1.0:
-            raise ConfigError("rmp must lie in [0, 1]")
-        if self.transfer_period < 1:
-            raise ConfigError("transfer period must be >= 1")
-        if not 1 <= self.transfer_count <= self.population:
-            raise ConfigError("transfer count must lie in 1..population")
         if self.ls_intensity < 0:
             raise ConfigError("local-search intensity must be >= 0")
-        if self.sbx_eta <= 0 or self.mut_sigma < 0:
-            raise ConfigError("sbx_eta must be > 0 and mut_sigma >= 0")
         if self.time_budget is None and self.max_generations is None:
             raise ConfigError("set a time budget, a generation limit, or both")
         if self.time_budget is not None and self.time_budget < 0:
@@ -177,8 +173,6 @@ class RunResult:
     trace: list
     generations: int
     elapsed_s: float
-    pair: TaskPair
-    config: EngineConfig
     stopped_by: str = "generations"  # "generations" or "budget"
     overrun_s: float = 0.0  # time past the deadline; zeroed like elapsed_s
 
@@ -279,7 +273,7 @@ class Engine:
         return pop
 
     def _sbx(self, xa: tuple, xb: tuple, rng: Random) -> tuple[tuple, tuple]:
-        eta = self.config.sbx_eta
+        eta = _SBX_ETA
         c1, c2 = [], []
         for a, b in zip(xa, xb):
             u = rng.random()
@@ -294,8 +288,7 @@ class Engine:
         return tuple(c1), tuple(c2)
 
     def _gauss_mutate(self, x: tuple, rng: Random) -> tuple:
-        sigma = self.config.mut_sigma
-        return tuple(min(1.0, max(0.0, v + rng.gauss(0.0, sigma))) for v in x)
+        return tuple(min(1.0, max(0.0, v + rng.gauss(0.0, _MUT_SIGMA))) for v in x)
 
     def _ordered_crossover(self, pa: tuple, pb: tuple, rng: Random) -> tuple[tuple, tuple]:
         length = len(pa)
@@ -324,7 +317,7 @@ class Engine:
     def mate(self, pa: Individual, pb: Individual, rng: Random, birth: int = 0):
         """Assortative mating with skill inheritance; returns two offspring."""
         same_skill = pa.skill == pb.skill
-        if same_skill or rng.random() < self.config.rmp:
+        if same_skill or rng.random() < _RMP:
             g1, g2 = self._cross(pa.genotype, pb.genotype, rng)
             if same_skill:
                 s1 = s2 = pa.skill
@@ -378,12 +371,12 @@ class Engine:
     ) -> list[Individual]:
         """Patch the best auxiliary-skill schedules into expensive-task offspring.
 
-        Runs only on the configured period; the remaining jobs are inserted in
+        Runs every ``_TRANSFER_PERIOD`` generations and takes at most
+        ``_TRANSFER_COUNT`` donors; the remaining jobs are inserted in
         descending importance at their best positions. No patch starts once
         ``time.perf_counter()`` has reached ``deadline``.
         """
-        config = self.config
-        if config.transfer_mode != "ri" or generation % config.transfer_period != 0:
+        if self.config.transfer_mode != "ri" or generation % _TRANSFER_PERIOD != 0:
             return []
         eat: EatSpec = self.aux
         donors = [ind for ind in population if ind.skill == TASK_EAT]
@@ -391,7 +384,7 @@ class Engine:
         out, seqs = [], []
         exp_matrix = self.pair.exp.matrix
         keys = default_key_values(self.D)
-        for donor in donors[: config.transfer_count]:
+        for donor in donors[:_TRANSFER_COUNT]:
             if _past(deadline):
                 break
             pi_eat = self.decode_task(TASK_EAT, donor.genotype)
@@ -497,8 +490,6 @@ class Engine:
             trace=trace,
             generations=gen,
             elapsed_s=elapsed_s,
-            pair=self.pair,
-            config=config,
             stopped_by=stopped_by,
             overrun_s=0.0 if deadline is None else max(0.0, elapsed_s - config.time_budget),
         )

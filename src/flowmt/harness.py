@@ -28,7 +28,7 @@ from typing import Iterator, TextIO
 from .auxiliary import build_eat, importance_scores
 from .distance import cos_theta_lower_bound, itdm, zero_pad
 from .emt import Engine, EngineConfig, ImpTsk, RndTsk, TaskPair
-from .errors import ConfigError, ParameterError, ParseError
+from .errors import ConfigError, FlowmtError, ParameterError, ParseError
 from .instance import Instance, parse_instance
 
 __all__ = [
@@ -127,8 +127,14 @@ def load_instance_file(path: str | Path) -> Instance:
     text = path.read_text()
     try:
         return parse_instance(text, "canonical", name=path.stem)
-    except ParseError:
-        return parse_instance(text, "taillard", name=path.stem)
+    except ParseError as canonical:
+        try:
+            return parse_instance(text, "taillard", name=path.stem)
+        except ParseError as taillard:
+            raise ParseError(
+                f"{path}: not a canonical instance ({canonical}) "
+                f"nor a taillard one ({taillard})"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -312,18 +318,15 @@ def write_trace_csv(path: str | Path, trace: list) -> None:
 
 def _run_cell(args) -> RunRecord:
     """Execute one (algorithm, instance, run) cell; top-level so pools can pickle it."""
-    algo_name, instance_path, config, run_index, trace_path = args
+    algo, pair, config, run_index, trace_path = args
     seed = config.base_seed + run_index
-    algo = parse_algorithm(algo_name)
-    exp = load_instance_file(Path(config.base_dir) / instance_path)
-    pair = algo.make_pair(exp, config.base_dir)
-    result = Engine(pair, _engine_config(config, algo, exp, seed)).run()
+    result = Engine(pair, _engine_config(config, algo, pair.exp, seed)).run()
     trace_file = Path(config.base_dir) / config.out_dir / trace_path
     trace_file.parent.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace_file, result.trace)
     return RunRecord(
-        algorithm=algo_name,
-        instance=exp.name,
+        algorithm=algo.name,
+        instance=pair.exp.name,
         run_index=run_index,
         seed=seed,
         makespan=result.best_makespan,
@@ -397,29 +400,33 @@ def write_metrics_csv(stream: TextIO, rows: list[MetricsRow]) -> None:
 def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsRow]]:
     """Run every cell, resuming past work, and write runs/metrics/trace CSVs."""
     base = Path(config.base_dir)
-    out_dir = base / config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    runs_path = out_dir / "runs.csv"
-
     instances = {}
     for rel in config.instances:
         inst = load_instance_file(base / rel)
         if inst.name in instances:
             raise ConfigError(f"two instance files share the name {inst.name!r}")
-        instances[inst.name] = (rel, inst)
+        instances[inst.name] = inst
 
-    cells = []
+    # every (algorithm, instance) pairing is built, and so checked, before any cell runs
+    pairs = {}
     for algo in config.algorithms:
-        for name, (rel, _inst) in instances.items():
-            for run_index in range(config.runs):
-                cells.append((algo, name, rel, run_index))
+        spec = parse_algorithm(algo)
+        for name, inst in instances.items():
+            try:
+                pairs[algo, name] = (spec, spec.make_pair(inst, base))
+            except FlowmtError as exc:
+                raise ConfigError(f"algorithm {algo!r} on instance {name!r}: {exc}") from None
+    cells = [(algo, name, run_index) for algo, name in pairs for run_index in range(config.runs)]
 
+    out_dir = base / config.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    runs_path = out_dir / "runs.csv"
     done = {}
     if runs_path.exists():
         done = {(r.algorithm, r.instance, r.run_index): r for r in read_runs_csv(runs_path)}
     pending = [
-        (algo, rel, config, run_index, _cell_trace_path(algo, name, run_index))
-        for algo, name, rel, run_index in cells
+        (*pairs[algo, name], config, run_index, _cell_trace_path(algo, name, run_index))
+        for algo, name, run_index in cells
         if (algo, name, run_index) not in done
     ]
 
@@ -451,7 +458,7 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
             for cell in pending:
                 record(_run_cell(cell))
 
-    records = [done[(algo, name, run_index)] for algo, name, _rel, run_index in cells]
+    records = [done[cell] for cell in cells]
     records.sort(key=lambda r: (r.algorithm, r.instance, r.run_index))
 
     # Reference makespans: best-known when the instance carries one, otherwise
@@ -462,7 +469,7 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
         if cur is None or r.makespan < cur:
             best_seen[r.instance] = r.makespan
     for r in records:
-        inst = instances[r.instance][1]
+        inst = instances[r.instance]
         if inst.best_known is not None:
             c_star, basis = inst.best_known, "best_known"
         else:

@@ -1,5 +1,6 @@
-"""Constructive and improvement heuristics: NEH insertion, INSERT local search,
-and a simulated-annealing refiner for small auxiliary tasks."""
+"""Constructive and improvement heuristics: NEH insertion, the INSERT walk the
+engine scores in batches, and a simulated-annealing refiner for small
+auxiliary tasks."""
 
 from __future__ import annotations
 
@@ -9,10 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyScheduleError, InvalidPermutationError, ParameterError
+from .errors import InvalidPermutationError, ParameterError
 from .instance import ProblemMatrix, _machine_completions, _makespan_unchecked, _makespans
 
-__all__ = ["neh", "insert_local_search", "solve_eat"]
+__all__ = ["neh", "solve_eat"]
 
 
 def _insert_best(
@@ -63,14 +64,15 @@ def neh(matrix: ProblemMatrix, priority: Sequence[int]) -> list[int]:
     return _insert_best(matrix, [], jobs, latest_ties=True)
 
 
-def _check_iterations(iterations: int) -> None:
-    if iterations < 0:
-        raise ParameterError(f"iteration count must be nonnegative, got {iterations}")
-
-
 def _draw_walk(perm: Sequence[int], iterations: int, rng) -> array:
-    """The sequences of ``insert_local_search``'s walk from ``perm``: the
-    start, then one per move, packed row after row as int32."""
+    """A random INSERT walk from ``perm``: each move picks two distinct
+    positions and moves the later job directly before the earlier one.
+
+    Runs ``iterations`` moves (none for a single job) and returns the start,
+    then the sequence after each move, packed row after row as int32. Every
+    move is applied whatever its value, so the walk is drawn first and
+    ``_walk_minima`` scores its sequences in one batch.
+    """
     cur = array("i", perm)
     rows = array("i", cur)
     for _ in range(iterations if len(cur) > 1 else 0):
@@ -93,24 +95,6 @@ def _walk_minima(
     return seqs[picked].tolist(), values.ravel()[picked].tolist()
 
 
-def insert_local_search(
-    matrix: ProblemMatrix, perm: Sequence[int], iterations: int, rng
-) -> tuple[list[int], int]:
-    """Random INSERT walk: repeatedly pick two distinct jobs and move the
-    later-positioned one directly before the earlier one.
-
-    Runs for ``iterations`` moves (none for a single job) and returns the best
-    sequence seen, the input included, with its makespan, so the result never
-    evaluates worse. Every move is applied whatever its value, so the walk is
-    drawn first and its sequences are scored in one batch.
-    """
-    _check_iterations(iterations)
-    if len(perm) == 0:
-        raise EmptyScheduleError("cannot search an empty schedule")
-    seqs, values = _walk_minima(matrix.p, _draw_walk(perm, iterations, rng), 1, len(perm))
-    return seqs[0], values[0]
-
-
 def solve_eat(submatrix: ProblemMatrix, iterations: int, rng) -> list[int]:
     """Near-optimal schedule for a compact task: NEH seed plus annealing.
 
@@ -119,7 +103,8 @@ def solve_eat(submatrix: ProblemMatrix, iterations: int, rng) -> list[int]:
     to T0 / 100, accepting uphill moves with probability exp(-delta / T).
     Returns the best schedule seen, never worse than the seed.
     """
-    _check_iterations(iterations)
+    if iterations < 0:
+        raise ParameterError(f"iteration count must be nonnegative, got {iterations}")
     rows_sums = [(sum(row), job) for job, row in enumerate(submatrix.rows(), start=1)]
     priority = [job for _, job in sorted(rows_sums, key=lambda t: (-t[0], t[1]))]
     seed = neh(submatrix, priority)

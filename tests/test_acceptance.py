@@ -12,6 +12,7 @@ from random import Random
 
 import pytest
 
+import flowmt.emt
 from flowmt.auxiliary import MEASURES, build_eat, importance_scores
 from flowmt.distance import cos_theta_lower_bound, itdm, optimal_scale_shift, zero_pad
 from flowmt.emt import (
@@ -300,13 +301,14 @@ def test_c09_transfer_beats_random_pairing_at_desk_scale():
     )
 
 
-def test_c10_engine_invariants(tmp_path):
+def test_c10_engine_invariants(tmp_path, monkeypatch):
     t0 = time.perf_counter()
     rng = Random(101010)
     mat = random_matrix(rng, 12, 5)
     exp = Instance(mat, name="inv")
 
     # best-ever trace never increases, across encodings and transfer modes
+    monkeypatch.setattr(flowmt.emt, "_TRANSFER_COUNT", 3)
     for encoding in ("realkey", "perm"):
         for mode in ("ik", "ri"):
             config = EngineConfig(
@@ -316,19 +318,18 @@ def test_c10_engine_invariants(tmp_path):
                 transfer_mode=mode,
                 max_generations=8,
                 rng_seed=3,
-                transfer_count=3,
             )
             result = run(TaskPair(exp, ImpTsk("lsp", 30)), config)
             values = [pt.best_makespan for pt in result.trace]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
     # population stays exactly N; every transferred individual keeps its skeleton
+    monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 1)
+    monkeypatch.setattr(flowmt.emt, "_TRANSFER_COUNT", 4)
     config = EngineConfig(
         population=12,
         ls_intensity=10,
         transfer_mode="ri",
-        transfer_period=1,
-        transfer_count=4,
         max_generations=1,
         rng_seed=4,
     )
@@ -364,7 +365,9 @@ def test_c10_engine_invariants(tmp_path):
         pop = engine.select(pop + offspring + transferred)
         assert len(pop) == 12
 
-    # campaign outputs byte-identical across reruns in generation mode
+    # campaign outputs byte-identical across reruns in generation mode, under
+    # the engine's own transfer period and count
+    monkeypatch.undo()
     inst_rng = Random(111)
     for idx in range(2):
         inst = Instance(random_matrix(inst_rng, 8, 4), name=f"c{idx}")

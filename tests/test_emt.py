@@ -41,7 +41,6 @@ def make_engine(fig2_matrix, **overrides):
         transfer_mode="ri",
         max_generations=3,
         rng_seed=5,
-        transfer_count=3,
     )
     defaults.update(overrides)
     return Engine(make_pair(fig2_matrix), EngineConfig(**defaults))
@@ -55,10 +54,6 @@ class TestConfigValidation:
     def test_missing_termination_rejected(self):
         with pytest.raises(ConfigError):
             EngineConfig()
-
-    def test_bad_rmp_rejected(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(rmp=1.5, max_generations=1)
 
     def test_ri_with_random_pairing_rejected_at_construction(self, fig2_matrix):
         rng = Random(1)
@@ -126,8 +121,9 @@ class TestMate:
             kids = eng.mate(pa, pb, Random(2))
             assert all(kid.skill == TASK_EAT for kid in kids)
 
-    def test_rmp_zero_mixed_parents_mutate_only(self, fig2_matrix):
-        eng = make_engine(fig2_matrix, rmp=0.0)
+    def test_rmp_zero_mixed_parents_mutate_only(self, fig2_matrix, monkeypatch):
+        monkeypatch.setattr(flowmt.emt, "_RMP", 0.0)
+        eng = make_engine(fig2_matrix)
         eng.resolve(Random(1))
         pa = Individual(genotype=tuple([0.25] * 10), skill=TASK_EXP, uid=eng._next_uid())
         pb = Individual(genotype=tuple([0.75] * 10), skill=TASK_EAT, uid=eng._next_uid())
@@ -140,8 +136,10 @@ class TestMate:
             assert max(abs(v - 0.25) for v in kids[0].genotype) < 0.5
             assert max(abs(v - 0.75) for v in kids[1].genotype) < 0.5
 
-    def test_rmp_one_always_crosses(self, fig2_matrix):
-        eng = make_engine(fig2_matrix, rmp=1.0, mut_sigma=0.0)
+    def test_rmp_one_always_crosses(self, fig2_matrix, monkeypatch):
+        monkeypatch.setattr(flowmt.emt, "_RMP", 1.0)
+        monkeypatch.setattr(flowmt.emt, "_MUT_SIGMA", 0.0)
+        eng = make_engine(fig2_matrix)
         eng.resolve(Random(1))
         pa = Individual(genotype=tuple([0.2] * 10), skill=TASK_EXP, uid=eng._next_uid())
         pb = Individual(genotype=tuple([0.9] * 10), skill=TASK_EAT, uid=eng._next_uid())
@@ -215,14 +213,18 @@ class TestImprove:
 
 
 class TestExplicitTransfer:
-    def test_period_gate(self, fig2_matrix):
-        eng = make_engine(fig2_matrix, transfer_period=5)
+    def test_period_gate(self, fig2_matrix, monkeypatch):
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 5)
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_COUNT", 3)
+        eng = make_engine(fig2_matrix)
         pop = eng.initialize(Random(16))
         assert eng.explicit_transfer(pop, 3, Random(17)) == []
         assert eng.explicit_transfer(pop, 5, Random(17)) != []
 
-    def test_no_donors_gives_empty(self, fig2_matrix):
-        eng = make_engine(fig2_matrix, transfer_period=1)
+    def test_no_donors_gives_empty(self, fig2_matrix, monkeypatch):
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 1)
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_COUNT", 3)
+        eng = make_engine(fig2_matrix)
         pop = eng.initialize(Random(18))
         only_exp = [ind for ind in pop if ind.skill == TASK_EXP]
         assert eng.explicit_transfer(only_exp, 5, Random(19)) == []
@@ -232,8 +234,10 @@ class TestExplicitTransfer:
         pop = eng.initialize(Random(20))
         assert eng.explicit_transfer(pop, 5, Random(21)) == []
 
-    def test_skeleton_preservation(self, fig2_matrix):
-        eng = make_engine(fig2_matrix, transfer_period=1, transfer_count=8)
+    def test_skeleton_preservation(self, fig2_matrix, monkeypatch):
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 1)
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_COUNT", 8)
+        eng = make_engine(fig2_matrix)
         pop = eng.initialize(Random(22))
         donors = sorted(
             (ind for ind in pop if ind.skill == TASK_EAT),
@@ -351,7 +355,8 @@ class TestRun:
         assert result.overrun_s == pytest.approx(result.elapsed_s - 0.2)
         assert 0.0 <= result.overrun_s < 1.0
 
-    def test_trace_non_increasing_and_population_constant(self, fig2_matrix):
+    def test_trace_non_increasing_and_population_constant(self, fig2_matrix, monkeypatch):
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_COUNT", 3)
         eng = make_engine(fig2_matrix, max_generations=6)
         result = eng.run()
         values = [pt.best_makespan for pt in result.trace]
@@ -361,7 +366,8 @@ class TestRun:
         assert result.generations == 6
         assert len(result.trace) == 7
 
-    def test_deterministic_traces(self, fig2_matrix):
+    def test_deterministic_traces(self, fig2_matrix, monkeypatch):
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_COUNT", 3)
         a = make_engine(fig2_matrix, max_generations=5).run()
         b = make_engine(fig2_matrix, max_generations=5).run()
         assert a.trace == b.trace
@@ -376,15 +382,17 @@ class TestRun:
 
     @pytest.mark.parametrize("encoding", ["realkey", "perm"])
     @pytest.mark.parametrize("mode", ["ik", "ri"])
-    def test_trace_is_best_seen_so_far(self, encoding, mode):
+    def test_trace_is_best_seen_so_far(self, encoding, mode, monkeypatch):
         # every expensive-task objective the run stores is set by initialize,
         # improve or explicit_transfer; record each with its birth, uid and
         # sequence, and check the trace and the result against the first-seen
         # minimum
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 2)
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_COUNT", 3)
         exp = generate_taillard(20, 5, 873654221)
         config = EngineConfig(
             population=10, ls_intensity=3, encoding=encoding, transfer_mode=mode,
-            transfer_period=2, transfer_count=3, max_generations=12, rng_seed=4,
+            max_generations=12, rng_seed=4,
         )
         eng = Engine(TaskPair(exp, ImpTsk("lsp", 20)), config)
         seen = []  # (objective, birth, uid, sequence)
@@ -457,21 +465,20 @@ class TestRun:
             assert reused.best_perm == fresh.best_perm
             assert reused.trace == fresh.trace
 
-    def test_wall_clock_budget_holds_within_a_generation(self):
+    def test_wall_clock_budget_holds_within_a_generation(self, monkeypatch):
         # a generation here takes about 0.3 s and one RI patch about 30 ms on
         # two shared cores; the budget is checked between mating pairs and
         # between patches, so the run ends near its 0.3 s budget
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 1)
         exp = generate_taillard(100, 20, 1539989115)
-        config = EngineConfig(
-            transfer_mode="ri", transfer_period=1, time_budget=0.3, rng_seed=1
-        )
+        config = EngineConfig(transfer_mode="ri", time_budget=0.3, rng_seed=1)
         t0 = time.perf_counter()
         result = run(TaskPair(exp, ImpTsk("lsp", 20)), config)
         assert time.perf_counter() - t0 < 2.0
         assert result.trace[-1].generation == result.generations
         assert result.best_makespan == makespan(exp.matrix, list(result.best_perm))
 
-    def test_wall_clock_budget_holds_within_a_long_generation(self):
+    def test_wall_clock_budget_holds_within_a_long_generation(self, monkeypatch):
         # with 2000 INSERT moves a 100-job walk is 200100 int32 cells (800 KB),
         # past the batch cap, so it is scored alone as soon as it is drawn:
         # about 9 ms to draw and 16 ms to score on two shared cores, 50 ms a
@@ -479,9 +486,10 @@ class TestRun:
         # checked only between generations would overrun the 2 s bound, and
         # walks scored only at the end of a generation would overrun the
         # deadline by about the budget itself (0.31-0.37 s measured)
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 1)
         exp = generate_taillard(100, 20, 1539989115)
         config = EngineConfig(
-            transfer_mode="ri", transfer_period=1, ls_intensity=2000, time_budget=0.3, rng_seed=1
+            transfer_mode="ri", ls_intensity=2000, time_budget=0.3, rng_seed=1
         )
         t0 = time.perf_counter()
         result = run(TaskPair(exp, ImpTsk("lsp", 20)), config)

@@ -6,11 +6,12 @@ import pytest
 
 from flowmt.distance import cos_theta_lower_bound
 from flowmt.emt import Engine
-from flowmt.errors import ConfigError, ParameterError
+from flowmt.errors import ConfigError, ParameterError, ParseError
 from flowmt.harness import (
     CampaignConfig,
     MetricsRow,
     RunRecord,
+    _cell_trace_path,
     aggregate,
     distance_sweep,
     load_instance_file,
@@ -73,6 +74,18 @@ class TestAggregate:
         records = self._records([1.0]) + [RunRecord("b", "i", 0, 0, 100, 0.0, re=1.0)]
         with pytest.raises(ParameterError):
             aggregate(records)
+
+
+class TestLoadInstanceFile:
+    def test_neither_format_reports_both_errors(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 3\n1 2 x\n4 5 6\n")
+        with pytest.raises(ParseError) as err:
+            load_instance_file(path)
+        message = str(err.value)
+        assert "line 2, column 3: non-numeric token 'x'" in message
+        assert "line 3: expected 3 data lines, found 2" in message
+        assert str(path) in message
 
 
 class TestAlgorithmNames:
@@ -274,11 +287,16 @@ class TestRunCampaign:
     @staticmethod
     def _failing_campaign(tmp_path, **overrides):
         rng = Random(31)
-        for name, n, m in (("a20x5", 20, 5), ("b20x10", 20, 10), ("aux", 10, 5)):
+        for name, n, m in (("a20x5", 20, 5), ("b20x5", 20, 5), ("aux", 10, 5)):
             inst = Instance(random_matrix(rng, n, m), name=name)
             (tmp_path / f"{name}.txt").write_text(write_instance(inst))
+        algorithm = "MFEA-I/RndTsk2:aux.txt/IK"
+        # a directory at each of b20x5's trace paths makes its cells fail
+        # once their engine runs have finished
+        for run_index in range(2):
+            (tmp_path / "out" / _cell_trace_path(algorithm, "b20x5", run_index)).mkdir(parents=True)
         config = dict(
-            algorithms=["MFEA-I/RndTsk2:aux.txt/IK"],
+            algorithms=[algorithm],
             runs=2,
             max_generations=1,
             population=6,
@@ -305,9 +323,8 @@ class TestRunCampaign:
 
     def test_failed_campaign_journals_finished_cells(self, tmp_path, monkeypatch):
         config = self._failing_campaign(tmp_path)
-        # the 10x5 auxiliary cannot pair with the 10-machine second instance
-        with pytest.raises(ConfigError, match="machines"):
-            run_campaign(CampaignConfig(instances=["a20x5.txt", "b20x10.txt"], **config))
+        with pytest.raises(IsADirectoryError):
+            run_campaign(CampaignConfig(instances=["a20x5.txt", "b20x5.txt"], **config))
         self._assert_resumes_without_rerun(tmp_path, monkeypatch, config)
 
     def test_parallel_campaign_journals_cells_finished_after_a_failure(
@@ -315,9 +332,45 @@ class TestRunCampaign:
     ):
         config = self._failing_campaign(tmp_path, parallelism=2)
         # the failing instance comes first, so every good cell finishes after it
-        with pytest.raises(ConfigError, match="machines"):
-            run_campaign(CampaignConfig(instances=["b20x10.txt", "a20x5.txt"], **config))
+        with pytest.raises(IsADirectoryError):
+            run_campaign(CampaignConfig(instances=["b20x5.txt", "a20x5.txt"], **config))
         self._assert_resumes_without_rerun(tmp_path, monkeypatch, config)
+
+    @pytest.mark.parametrize(
+        "instances, algorithms, message",
+        [
+            # the first algorithm runs on the 6-job instance; the second keeps no job
+            (["six.txt"], ["MFEA-I/LSP-50/IK", "MFEA-I/LSP-10/IK"], "selects no jobs"),
+            # the 4x5 auxiliary pairs with the 5-machine instance, not the 4-machine one
+            (["inst0.txt", "six.txt"], ["MFEA-I/rndtsk2:aux5.txt/IK"], "machines"),
+        ],
+        ids=["ratio", "rndtsk-machines"],
+    )
+    def test_bad_pairing_fails_before_any_cell(
+        self, tmp_path, monkeypatch, instances, algorithms, message
+    ):
+        rng = Random(41)
+        for name, n, m in (("inst0", 8, 5), ("six", 6, 4), ("aux5", 4, 5)):
+            inst = Instance(random_matrix(rng, n, m), name=name)
+            (tmp_path / f"{name}.txt").write_text(write_instance(inst))
+        calls = []
+        monkeypatch.setattr(Engine, "run", lambda self: calls.append(1))
+        config = small_config(tmp_path, instances=instances, algorithms=algorithms)
+        with pytest.raises(ConfigError, match=message) as err:
+            run_campaign(config)
+        assert algorithms[-1] in str(err.value) and "'six'" in str(err.value)
+        assert calls == []
+        runs_csv = tmp_path / "out" / "runs.csv"
+        assert not runs_csv.exists() or read_runs_csv(runs_csv) == []
+        assert not list(tmp_path.glob("out/traces/*"))
+
+    def test_population_below_the_transfer_count_runs(self, campaign_dir):
+        config = small_config(
+            campaign_dir, algorithms=["MFEA-I/LSP-20/RI"], population=4, max_generations=6
+        )
+        records, _ = run_campaign(config)
+        assert len(records) == 4
+        assert all(rec.re is not None for rec in records)
 
 
 class TestDistanceSweep:
