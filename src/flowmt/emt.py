@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .auxiliary import EatSpec, MEASURES, build_eat, critical_count
 from .errors import ConfigError, UnderfullPoolError
 from .instance import Instance, _makespans
-from .search import _draw_walk, _walk_minima
+from .search import _draw_walk, _two_positions, _walk_minima
 from .transfer import (
     default_key_values,
     patch,
@@ -292,7 +292,9 @@ class Engine:
 
     def _ordered_crossover(self, pa: tuple, pb: tuple, rng: Random) -> tuple[tuple, tuple]:
         length = len(pa)
-        i, j = sorted(rng.sample(range(length), 2))
+        if length < 2:  # a one-gene genotype has nothing to cross; draws nothing
+            return pa, pb
+        i, j = _two_positions(length, rng.getrandbits)
 
         def child(keep, fill_from):
             mid = keep[i : j + 1]
@@ -309,8 +311,10 @@ class Engine:
         return child(pa, pb), child(pb, pa)
 
     def _swap_mutate(self, x: tuple, rng: Random) -> tuple:
+        if len(x) < 2:  # a one-gene genotype mutates to itself; draws nothing
+            return x
         out = list(x)
-        i, j = rng.sample(range(len(out)), 2)
+        i, j = _two_positions(len(out), rng.getrandbits)
         out[i], out[j] = out[j], out[i]
         return tuple(out)
 

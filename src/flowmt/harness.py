@@ -202,6 +202,16 @@ def parse_algorithm(name: str) -> AlgorithmSpec:
 # ---------------------------------------------------------------------------
 
 
+# Campaign keys that every cell passes on to its EngineConfig. A cell's time
+# budget is budget_factor * n * m, which has the sign of the factor.
+_ENGINE_FIELDS = {
+    "population": "population",
+    "ls_intensity": "ls_intensity",
+    "max_generations": "max_generations",
+    "budget_factor": "time_budget",
+}
+
+
 @dataclass
 class CampaignConfig:
     instances: list = field(default_factory=list)
@@ -221,6 +231,7 @@ class CampaignConfig:
             raise ConfigError("runs must be >= 1")
         if self.budget_factor is None and self.max_generations is None:
             raise ConfigError("set budget_factor, max_generations, or both")
+        EngineConfig(**{name: getattr(self, key) for key, name in _ENGINE_FIELDS.items()})
         seen: dict = {}
         for name in self.algorithms:
             _check_new_algorithm(seen, name)
@@ -250,8 +261,12 @@ def config_items(text: str) -> Iterator[tuple[int, str, str]]:
 
 
 def parse_campaign_config(text: str, base_dir: str | Path = ".") -> CampaignConfig:
+    """The campaign that ``key=value`` text describes. Every engine value is
+    checked by EngineConfig on its own line, so a bad one is named before any
+    output exists."""
     kwargs: dict = {"instances": [], "algorithms": [], "base_dir": str(base_dir)}
     seen: dict = {}
+    engine = EngineConfig(max_generations=0)
     scalars = {
         "runs": int,
         "base_seed": int,
@@ -274,6 +289,10 @@ def parse_campaign_config(text: str, base_dir: str | Path = ".") -> CampaignConf
         elif key in scalars:
             try:
                 kwargs[key] = scalars[key](value)
+                if key in _ENGINE_FIELDS:
+                    engine = replace(engine, **{_ENGINE_FIELDS[key]: kwargs[key]})
+            except ConfigError as exc:
+                raise ConfigError(f"line {line_no}: {exc}") from None
             except ValueError:
                 raise ConfigError(f"line {line_no}: bad value for {key}: {value!r}") from None
         else:

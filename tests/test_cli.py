@@ -193,6 +193,23 @@ def test_experiment_bad_pairing_ratio_names_line_before_running(tmp_path, fig2_f
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad_line", ["population=5", "ls_intensity=-1"])
+def test_experiment_bad_engine_value_names_line_before_running(tmp_path, capsys, bad_line):
+    inst = Instance(random_matrix(Random(31), 6, 3), name="i0")
+    (tmp_path / "i0.txt").write_text(write_instance(inst))
+    config = tmp_path / "campaign.cfg"
+    config.write_text(
+        "instance=i0.txt\n"
+        "algorithm=MFEA-I/LSP-50/IK\n"
+        "max_generations=1\npopulation=6\nls_intensity=1\n"
+        f"{bad_line}\n"
+        "out_dir=out\n"
+    )
+    assert main(["experiment", str(config)]) == 2
+    assert "line 6" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_patch_repeated_job_exit_code(fig2_file, capsys):
     assert main(["patch", str(fig2_file), "--eat-perm", "1,1"]) == 2
     captured = capsys.readouterr()

@@ -164,6 +164,51 @@ class TestMate:
                 assert sorted(kid.genotype) == list(range(1, 11))
 
 
+def perm_engine(jobs):
+    inst = Instance(random_matrix(Random(jobs), jobs, 3), name=f"n{jobs}")
+    config = EngineConfig(encoding="perm", population=4, max_generations=1)
+    return Engine(TaskPair(inst, RndTsk(1, inst)), config)
+
+
+class TestPermutationOperators:
+    # gene counts on both sides of random.sample's pool/set threshold (21/22)
+    @pytest.mark.parametrize("genes", [2, 9, 21, 22, 50])
+    def test_swap_mutate_swaps_the_pair_that_sample_draws(self, genes):
+        eng = perm_engine(genes)
+        rng, twin = Random(genes), Random(genes)
+        x = tuple(Random(genes + 1).sample(range(1, genes + 1), genes))
+        for _ in range(200):
+            out = eng._swap_mutate(x, rng)
+            i, j = twin.sample(range(genes), 2)
+            expected = list(x)
+            expected[i], expected[j] = x[j], x[i]
+            assert out == tuple(expected)
+            assert rng.getstate() == twin.getstate()
+            x = out
+
+    @pytest.mark.parametrize("genes", [2, 9, 21, 22, 50])
+    def test_ordered_crossover_keeps_the_slice_that_sample_draws(self, genes):
+        eng = perm_engine(genes)
+        rng, twin = Random(genes), Random(genes)
+        shuffle = Random(genes + 1)
+        for _ in range(200):
+            pa = tuple(shuffle.sample(range(1, genes + 1), genes))
+            pb = tuple(shuffle.sample(range(1, genes + 1), genes))
+            ca, cb = eng._ordered_crossover(pa, pb, rng)
+            i, j = sorted(twin.sample(range(genes), 2))
+            assert rng.getstate() == twin.getstate()
+            assert ca[i : j + 1] == pa[i : j + 1]
+            assert cb[i : j + 1] == pb[i : j + 1]
+            assert sorted(ca) == sorted(cb) == list(range(1, genes + 1))
+
+    def test_one_gene_crosses_and_mutates_to_itself_drawing_nothing(self):
+        eng = perm_engine(1)
+        rng, twin = Random(7), Random(7)
+        assert eng._ordered_crossover((1,), (1,), rng) == ((1,), (1,))
+        assert eng._swap_mutate((1,), rng) == (1,)
+        assert rng.getstate() == twin.getstate()
+
+
 class TestImprove:
     def test_zero_intensity_leaves_genotype(self, fig2_matrix):
         eng = make_engine(fig2_matrix, ls_intensity=0)
@@ -434,6 +479,14 @@ class TestRun:
     def test_permutation_encoding_run(self, fig2_matrix):
         result = make_engine(fig2_matrix, encoding="perm", max_generations=4).run()
         assert sorted(result.best_perm) == list(range(1, 11))
+
+    @pytest.mark.parametrize("encoding", ["perm", "realkey"])
+    def test_one_job_run(self, encoding):
+        inst = Instance(random_matrix(Random(29), 1, 2), name="one")
+        config = EngineConfig(encoding=encoding, population=4, ls_intensity=3, max_generations=2)
+        result = run(TaskPair(inst, RndTsk(1, inst)), config)
+        assert result.best_perm == (1,)
+        assert result.best_makespan == sum(inst.matrix.rows()[0])
 
     def test_rndtsk2_ik_run(self, fig2_matrix):
         rng = Random(27)

@@ -162,6 +162,26 @@ class TestCampaignConfigParsing:
         with pytest.raises(ConfigError, match="line 3.*outside 10..90"):
             parse_campaign_config(text)
 
+    @pytest.mark.parametrize(
+        "bad_line, rule",
+        [
+            ("population=5", "population must be an even number"),
+            ("population=0", "population must be an even number"),
+            ("ls_intensity=-1", "local-search intensity must be >= 0"),
+            ("max_generations=-2", "generation limit must be >= 0"),
+            ("budget_factor=-0.5", "time budget must be >= 0"),
+        ],
+    )
+    def test_bad_engine_value_line_named(self, bad_line, rule):
+        # each cell's EngineConfig would reject it, after the output existed
+        text = f"algorithm=MFEA-I/LSP-50/IK\nmax_generations=2\n{bad_line}\nruns=1\n"
+        with pytest.raises(ConfigError, match=f"line 3: {rule}"):
+            parse_campaign_config(text)
+        key, value = bad_line.split("=")
+        kwargs = {"max_generations": 2, key: (float if key == "budget_factor" else int)(value)}
+        with pytest.raises(ConfigError, match=rule):
+            CampaignConfig(**kwargs)
+
     @pytest.mark.parametrize("again", ["MFEA-I/LSP-20/RI", "mfea-i/lsp-20/ri"])
     def test_repeated_algorithm_rejected(self, again):
         # listed twice, each of its cells would run twice, with the same seeds

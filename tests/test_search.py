@@ -6,7 +6,7 @@ import pytest
 
 from flowmt.errors import InvalidPermutationError, ParameterError
 from flowmt.instance import ProblemMatrix, makespan
-from flowmt.search import _draw_walk, _insert_best, _walk_minima, neh, solve_eat
+from flowmt.search import _draw_walk, _insert_best, _two_positions, _walk_minima, neh, solve_eat
 
 from conftest import random_matrix
 from oracles import brute_force_optimum, dp_makespan, neh_reference
@@ -146,11 +146,17 @@ class TestInsertLocalSearch:
         b = walk(fig2_matrix, perm, 100, Random(5))
         assert a == b
 
-    @pytest.mark.parametrize("iterations", [0, 1, 50])
-    def test_draws_exactly_its_moves(self, fig2_matrix, iterations):
-        perm = [3, 7, 1, 9, 10, 2, 5, 8, 4]
+    # job counts on both sides of random.sample's pool/set threshold (21/22)
+    @pytest.mark.parametrize(
+        "jobs, iterations",
+        [pytest.param(9, it, id=str(it)) for it in (0, 1, 50)]
+        + [pytest.param(jobs, 50, id=f"{jobs}jobs") for jobs in (2, 21, 22, 50)],
+    )
+    def test_draws_exactly_its_moves(self, jobs, iterations):
+        mat = random_matrix(Random(jobs), jobs, 3)
+        perm = Random(jobs + 1).sample(range(1, jobs + 1), jobs)
         rng, twin = Random(12), Random(12)
-        walk(fig2_matrix, perm, iterations, rng)
+        walk(mat, perm, iterations, rng)
         for _ in range(iterations):
             twin.sample(range(len(perm)), 2)
         assert rng.getstate() == twin.getstate()
@@ -190,6 +196,18 @@ class TestInsertLocalSearch:
         out = walk(fig2_matrix, partial, 100, Random(8))
         assert sorted(out) == sorted(partial)
         assert makespan(fig2_matrix, out) <= makespan(fig2_matrix, partial)
+
+
+class TestTwoPositions:
+    # The kernel replays CPython's random.sample draw for draw, so the oracle is
+    # random.sample itself: a Python that draws a sample differently fails here.
+    @pytest.mark.parametrize("n", [*range(2, 26), 50, 200])
+    def test_matches_random_sample(self, n):
+        rng, twin = Random(n), Random(n)
+        getrandbits = twin.getrandbits
+        for _ in range(2000):
+            assert _two_positions(n, getrandbits) == tuple(sorted(rng.sample(range(n), 2)))
+        assert rng.getstate() == twin.getstate()
 
 
 class TestSolveEat:
