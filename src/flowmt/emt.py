@@ -22,14 +22,8 @@ from typing import NamedTuple
 from .auxiliary import EatSpec, MEASURES, build_eat, critical_count
 from .errors import ConfigError, UnderfullPoolError
 from .instance import Instance, _makespans
-from .search import _draw_walk, _two_positions, _walk_minima
-from .transfer import (
-    default_key_values,
-    patch,
-    perm_to_vector,
-    project_to_eat,
-    rov_decode,
-)
+from .search import _draw_walk, _insert_best, _two_positions, _walk_minima
+from .transfer import default_key_values, perm_to_vector, project_to_eat, rov_decode
 
 __all__ = [
     "TASK_EXP",
@@ -139,8 +133,8 @@ class EngineConfig:
             raise ConfigError("local-search intensity must be >= 0")
         if self.time_budget is None and self.max_generations is None:
             raise ConfigError("set a time budget, a generation limit, or both")
-        if self.time_budget is not None and self.time_budget < 0:
-            raise ConfigError("time budget must be >= 0")
+        if self.time_budget is not None and not self.time_budget >= 0:  # rejects NaN too
+            raise ConfigError(f"time budget must be >= 0, got {self.time_budget}")
         if self.max_generations is not None and self.max_generations < 0:
             raise ConfigError("generation limit must be >= 0")
 
@@ -377,31 +371,29 @@ class Engine:
 
         Runs every ``_TRANSFER_PERIOD`` generations and takes at most
         ``_TRANSFER_COUNT`` donors; the remaining jobs are inserted in
-        descending importance at their best positions. No patch starts once
-        ``time.perf_counter()`` has reached ``deadline``.
+        descending importance at their best positions, in one batch over all
+        donors that also yields each offspring's makespan; ``rng`` is unused.
+        ``deadline`` is checked once, before the batch, which is the unit of
+        work: five donors at 100x20 take about 25-45 ms, where one patch alone
+        took about 26 ms before batching.
         """
         if self.config.transfer_mode != "ri" or generation % _TRANSFER_PERIOD != 0:
             return []
-        eat: EatSpec = self.aux
         donors = [ind for ind in population if ind.skill == TASK_EAT]
+        if not donors or _past(deadline):
+            return []
         donors.sort(key=lambda ind: (ind.objectives[TASK_EAT], ind.uid))
-        out, seqs = [], []
-        exp_matrix = self.pair.exp.matrix
+        skeletons = [self.decode_task(TASK_EAT, ind.genotype) for ind in donors[:_TRANSFER_COUNT]]
+        eat: EatSpec = self.aux
+        seqs, values = _insert_best(self.pair.exp.matrix, skeletons, eat.remaining, latest_ties=False)
         keys = default_key_values(self.D)
-        for donor in donors[:_TRANSFER_COUNT]:
-            if _past(deadline):
-                break
-            pi_eat = self.decode_task(TASK_EAT, donor.genotype)
-            complete = patch("ri", pi_eat, list(eat.remaining), exp_matrix, rng)
-            out.append(Individual(
-                genotype=self.encode(keys, complete), skill=TASK_EXP,
+        return [
+            Individual(
+                genotype=self.encode(keys, seq), skill=TASK_EXP, objectives={TASK_EXP: value},
                 birth=generation, uid=self._next_uid(),
-            ))
-            seqs.append(complete)
-        if out:  # score every patched schedule in one batch
-            for ind, value in zip(out, _makespans(exp_matrix.p, seqs).tolist()):
-                ind.objectives[TASK_EXP] = value
-        return out
+            )
+            for seq, value in zip(seqs, values)
+        ]
 
     def _task_ranks(self, pool: list[Individual], task: str) -> dict:
         """1-based rank per uid on one task; unevaluated individuals are absent.

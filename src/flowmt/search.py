@@ -17,38 +17,57 @@ __all__ = ["neh", "solve_eat"]
 
 
 def _insert_best(
-    matrix: ProblemMatrix, seq: Sequence[int], jobs: Sequence[int], latest_ties: bool
-) -> list[int]:
-    """Insert ``jobs`` one at a time into ``seq``, each at the slot minimizing
-    the partial makespan. Tied slots resolve to the latest one when
-    ``latest_ties`` is set, otherwise to the earliest.
+    matrix: ProblemMatrix, rows: Sequence[Sequence[int]], jobs: Sequence[int], latest_ties: bool
+) -> tuple[list[list[int]], list[int]]:
+    """Grow a batch of one or more equal-length partial sequences by the
+    same ``jobs``; returns the grown rows and each one's makespan.
 
-    Every slot is scored at once from heads and tails (Taillard 1990): the
-    heads are the completion times of the current sequence, the tails the
-    times from each job's start on a machine to the end of the schedule. A
-    job placed at slot ``pos`` finishes on machine j at
+    Each step inserts the next job into every row at that row's slot
+    minimizing its partial makespan; tied slots resolve to the latest one
+    when ``latest_ties`` is set, otherwise to the earliest. Rows never
+    interact, so a batch gives each row what a batch of one would. A row's
+    makespan is its least insertion value at the last step, so the list is
+    empty when ``jobs`` is.
+
+    Every slot of every row is scored at once from heads and tails
+    (Taillard 1990): the heads are the completion times of the current row,
+    the tails the times from each job's start on a machine to the end of the
+    schedule. A job placed at slot ``pos`` finishes on machine j at
     f[j] = max(f[j-1], head[j][pos-1]) + p[j], and the schedule then ends at
     max_j(f[j] + tail[j][pos]). That is O(k*m) per job instead of O(k^2*m).
+    Tails are the heads of the reversed row on the reversed machines, so one
+    ``_machine_completions`` pass over the rows and their reversals (job
+    index n + i reads job i's time on machine m-1-j) fills both, into
+    ``edges`` whose column 0 stays zero. Five 100x20 RI patches take about
+    25 ms as one batch against 105 ms one by one, and one row runs about
+    1.5x faster than with separate head and tail passes.
     """
     pt = matrix.p.T
-    edge = np.zeros((matrix.m, 1), dtype=np.int64)
-    seq = list(seq)
-    for job in jobs:
-        order = np.asarray(seq, dtype=np.intp) - 1
-        heads = np.stack(list(_machine_completions(pt, order)))
-        tails = np.stack(list(_machine_completions(pt[::-1], order[::-1])))[::-1, ::-1]
-        before = np.hstack([edge, heads])
-        after = np.hstack([tails, edge])
-        times = pt[:, job - 1]
-        total = np.cumsum(times)[:, None]
-        finish = total + np.maximum.accumulate(before - total + times[:, None], axis=0)
-        values = (finish + after).max(axis=0)
+    n, m = matrix.n, matrix.m
+    both_pt = np.concatenate([pt, pt[::-1]], axis=1)
+    rows = [list(row) for row in rows]
+    count, start = len(rows), len(rows[0])
+    edges = np.zeros((m, 2 * count, start + len(jobs) + 1), dtype=np.int64)
+    heads, tails = edges[:, :count], edges[::-1, count:]
+    total = np.cumsum(pt, axis=0)  # a lone job's completion on every machine
+    scores = None
+    for k, job in enumerate(jobs, start=start):
+        if k:
+            order = np.array(rows, dtype=np.intp) - 1
+            both = np.concatenate([order, order[:, ::-1] + n])
+            np.stack(list(_machine_completions(both_pt, both)), out=edges[:, :, 1 : k + 1])
+        lone = total[:, job - 1, None, None]
+        finish = np.maximum.accumulate(heads[:, :, : k + 1] - lone + pt[:, job - 1, None, None])
+        finish += lone
+        finish += tails[:, :, k::-1]
+        scores = finish.max(axis=0)
         if latest_ties:
-            pos = len(seq) - int(np.argmin(values[::-1]))
+            slots = k - scores[:, ::-1].argmin(axis=1)
         else:
-            pos = int(np.argmin(values))
-        seq.insert(pos, job)
-    return seq
+            slots = scores.argmin(axis=1)
+        for row, pos in zip(rows, slots.tolist()):
+            row.insert(pos, job)
+    return rows, [] if scores is None else scores.min(axis=1).tolist()
 
 
 def neh(matrix: ProblemMatrix, priority: Sequence[int]) -> list[int]:
@@ -61,7 +80,7 @@ def neh(matrix: ProblemMatrix, priority: Sequence[int]) -> list[int]:
     jobs = list(priority)
     if sorted(jobs) != list(range(1, matrix.n + 1)):
         raise InvalidPermutationError("priority must order every job exactly once")
-    return _insert_best(matrix, [], jobs, latest_ties=True)
+    return _insert_best(matrix, [[]], jobs, latest_ties=True)[0][0]
 
 
 def _two_positions(n: int, getrandbits) -> tuple[int, int]:

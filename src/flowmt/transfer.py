@@ -32,7 +32,7 @@ def rov_decode(x: Sequence[float]) -> list[int]:
     Ties give the lower index the lower rank. The output is read as a job
     sequence: position i holds the job processed i-th.
     """
-    order = sorted(range(len(x)), key=lambda i: (x[i], i))
+    order = sorted(range(len(x)), key=x.__getitem__)  # stable: ties keep index order
     perm = [0] * len(x)
     for rank, idx in enumerate(order, start=1):
         perm[idx] = rank
@@ -97,7 +97,7 @@ def patch(
         raise ParameterError("ai strategy needs a seeded rng")
 
     if kind == "ri":
-        return _insert_best(matrix, pi_eat, rest, latest_ties=False)
+        return _insert_best(matrix, [pi_eat], rest, latest_ties=False)[0][0]
     seq = list(pi_eat)
     for job in rest:
         if kind == "ei":

@@ -55,6 +55,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             EngineConfig()
 
+    def test_nan_budget_rejected(self):
+        # a NaN deadline never passes, so a budget-only run would never end
+        with pytest.raises(ConfigError, match="time budget must be >= 0"):
+            EngineConfig(time_budget=float("nan"))
+        with pytest.raises(ConfigError, match="time budget must be >= 0"):
+            EngineConfig(time_budget=float("nan"), max_generations=1)
+        EngineConfig(time_budget=float("inf"))
+
     def test_ri_with_random_pairing_rejected_at_construction(self, fig2_matrix):
         rng = Random(1)
         aux = Instance(random_matrix(rng, 4, 5), name="aux")
@@ -297,6 +305,29 @@ class TestExplicitTransfer:
             assert sorted(full) == list(range(1, 11))
             assert project_to_eat(full, critical) == eng.decode_task(TASK_EAT, donor.genotype)
             assert new.objectives[TASK_EXP] == makespan(fig2_matrix, full)
+
+
+    @pytest.mark.parametrize("encoding", ["realkey", "perm"])
+    def test_stored_objective_is_the_decoded_makespan(self, fig2_matrix, monkeypatch, encoding):
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 1)
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_COUNT", 8)
+        for seed in range(5):
+            eng = make_engine(fig2_matrix, encoding=encoding)
+            pop = eng.initialize(Random(40 + seed))
+            transferred = eng.explicit_transfer(pop, 5, Random(41))
+            assert transferred
+            for new in transferred:
+                assert new.objectives == {TASK_EXP: rescore(eng, TASK_EXP, new.genotype)}
+
+    def test_passed_deadline_starts_no_batch(self, fig2_matrix, monkeypatch):
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 1)
+        eng = make_engine(fig2_matrix)
+        pop = eng.initialize(Random(42))
+        uid = eng._uid
+        assert eng.explicit_transfer(pop, 5, Random(43), deadline=time.perf_counter()) == []
+        assert eng._uid == uid
+        later = time.perf_counter() + 60.0
+        assert eng.explicit_transfer(pop, 5, Random(43), deadline=later) != []
 
 
 class TestSelect:

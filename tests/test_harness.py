@@ -170,6 +170,7 @@ class TestCampaignConfigParsing:
             ("ls_intensity=-1", "local-search intensity must be >= 0"),
             ("max_generations=-2", "generation limit must be >= 0"),
             ("budget_factor=-0.5", "time budget must be >= 0"),
+            ("budget_factor=nan", "time budget must be >= 0"),
         ],
     )
     def test_bad_engine_value_line_named(self, bad_line, rule):

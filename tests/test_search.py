@@ -22,26 +22,78 @@ def tie_heavy_matrix(rng):
     return random_matrix(rng, rng.randint(1, 9), rng.randint(1, 4), low=0, high=3)
 
 
+def best_slots(times, seq, job):
+    """Every slot of ``seq`` where inserting ``job`` gives the least makespan."""
+    values = [dp_makespan(times, seq[:pos] + [job] + seq[pos:]) for pos in range(len(seq) + 1)]
+    return [pos for pos, value in enumerate(values) if value == min(values)]
+
+
 def brute_force_insertion(times, seq, jobs, latest_ties):
     seq = list(seq)
     for job in jobs:
-        values = [dp_makespan(times, seq[:pos] + [job] + seq[pos:]) for pos in range(len(seq) + 1)]
-        best = min(values)
-        slots = [pos for pos, value in enumerate(values) if value == best]
+        slots = best_slots(times, seq, job)
         seq.insert(slots[-1] if latest_ties else slots[0], job)
     return seq
+
+
+def random_batch(rng, mat, count):
+    """``count`` orders of one random job subset, plus the other jobs to insert."""
+    perm = rng.sample(range(1, mat.n + 1), mat.n)
+    cut = rng.randint(0, mat.n)
+    rows = [rng.sample(perm[:cut], cut) for _ in range(count)]
+    return rows, perm[cut:]
 
 
 class TestInsertBest:
     @pytest.mark.parametrize("latest_ties", [True, False])
     def test_matches_brute_force_best_slot(self, latest_ties):
         rng = Random(29)
-        for _ in range(300):
+        for count in [1, 2, 5] * 100:
             mat = tie_heavy_matrix(rng)
-            perm = rng.sample(range(1, mat.n + 1), mat.n)
-            cut = rng.randint(0, mat.n)
-            expected = brute_force_insertion(mat.rows(), perm[:cut], perm[cut:], latest_ties)
-            assert _insert_best(mat, perm[:cut], perm[cut:], latest_ties) == expected
+            times = mat.rows()
+            rows, jobs = random_batch(rng, mat, count)
+            before = [list(row) for row in rows]
+            grown, values = _insert_best(mat, rows, jobs, latest_ties)
+            assert rows == before  # the input rows are not grown in place
+            assert grown == [brute_force_insertion(times, row, jobs, latest_ties) for row in rows]
+            if jobs:
+                assert values == [dp_makespan(times, row) for row in grown]
+            else:
+                assert values == []
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_latest_ties_from_empty_rows_is_neh(self, count):
+        rng = Random(31)
+        for _ in range(60):
+            mat = random_matrix(rng, rng.randint(1, 9), rng.randint(1, 5), low=0, high=rng.choice([3, 99]))
+            priority = rng.sample(range(1, mat.n + 1), mat.n)
+            ref_seq, ref_value = neh_reference(mat.rows(), priority)
+            grown, values = _insert_best(mat, [[] for _ in range(count)], priority, True)
+            assert grown == [ref_seq] * count
+            assert values == [ref_value] * count
+
+    @pytest.mark.parametrize("latest_ties", [True, False])
+    def test_rows_tying_at_different_slots_stay_independent(self, latest_ties):
+        # a batch gives each row exactly what a batch of one gives it, also
+        # when the rows' tied best slots differ
+        rng = Random(32)
+        independent = 0
+        for _ in range(400):
+            mat = tie_heavy_matrix(rng)
+            times = mat.rows()
+            rows, jobs = random_batch(rng, mat, 3)
+            if not jobs or not rows[0]:
+                continue
+            ties = [best_slots(times, row, jobs[0]) for row in rows]
+            chosen = {slots[-1] if latest_ties else slots[0] for slots in ties}
+            if len(chosen) < 2 or all(len(slots) < 2 for slots in ties):
+                continue
+            independent += 1
+            grown, values = _insert_best(mat, rows, jobs, latest_ties)
+            for row, seq, value in zip(rows, grown, values):
+                assert _insert_best(mat, [row], jobs, latest_ties) == ([seq], [value])
+                assert seq == brute_force_insertion(times, row, jobs, latest_ties)
+        assert independent >= 20
 
 
 class TestNeh:

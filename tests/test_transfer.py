@@ -33,6 +33,19 @@ class TestRovDecode:
     def test_ties_prefer_lower_index(self):
         assert rov_decode([0.7, 0.2, 0.7]) == [2, 1, 3]
 
+    def test_matches_value_then_index_ranking_on_clamped_keys(self):
+        # SBX and mutation clamp many keys to exactly 0.0 or 1.0
+        rng = Random(33)
+        for _ in range(500):
+            d = rng.randint(1, 120)
+            x = tuple(rng.choice([0.0, 1.0, 0.0, 1.0, 0.5, rng.random()]) for _ in range(d))
+            ranked = sorted((value, index) for index, value in enumerate(x))
+            expected = [0] * d
+            for rank, (_, index) in enumerate(ranked, start=1):
+                expected[index] = rank
+            assert rov_decode(x) == expected
+            assert rov_decode(list(x)) == expected
+
 
 class TestProjection:
     def test_worked_example(self):
