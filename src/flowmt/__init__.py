@@ -28,6 +28,7 @@ from .harness import (
     MetricsRow,
     RunRecord,
     aggregate,
+    build_engine,
     distance_sweep,
     load_instance_file,
     parse_algorithm,

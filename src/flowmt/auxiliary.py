@@ -25,7 +25,8 @@ from .errors import ParameterError
 from .instance import ProblemMatrix
 from .search import neh
 
-__all__ = ["MEASURES", "EatSpec", "importance_scores", "critical_count", "build_eat"]
+__all__ = ["MEASURES", "EatSpec", "check_pairing", "importance_scores", "critical_count",
+           "build_eat"]
 
 MEASURES = ("lsp", "lst", "kk1", "kk2", "sr0", "sr1", "sr2", "rnd")
 
@@ -61,10 +62,14 @@ class EatSpec:
         return self.ranking[self.g :]
 
 
-def _normalize_measure(measure: str) -> str:
-    kind = measure.lower()
-    if kind not in MEASURES:
+def check_pairing(measure: str | None = None, k: int | None = None) -> str | None:
+    """Check an importance pairing's measure name and sampling ratio, each
+    when given; returns the measure's lower-case name."""
+    kind = None if measure is None else measure.lower()
+    if kind is not None and kind not in MEASURES:
         raise ParameterError(f"unknown importance measure {measure!r}")
+    if k is not None and not 10 <= k <= 90:
+        raise ParameterError(f"sampling ratio {k} outside 10..90")
     return kind
 
 
@@ -97,7 +102,7 @@ def importance_scores(
     matrix: ProblemMatrix, measure: str, rng=None
 ) -> tuple[list[float], list[int]]:
     """Per-job scores plus the full descending-importance ranking."""
-    kind = _normalize_measure(measure)
+    kind = check_pairing(measure)
     p = matrix.p.astype(np.float64)
     n = matrix.n
     jobs = range(1, n + 1)
@@ -155,9 +160,7 @@ def build_eat(
     ``ranking`` lets callers sweeping many ratios reuse one scoring pass; it
     must be the measure's own descending-importance order.
     """
-    kind = _normalize_measure(measure)
-    if not 10 <= k <= 90:
-        raise ParameterError(f"sampling ratio {k} outside 10..90")
+    kind = check_pairing(measure, k)
     g = critical_count(matrix.n, k)
     if ranking is None:
         _, ranking = importance_scores(matrix, kind, rng)

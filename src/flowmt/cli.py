@@ -12,11 +12,11 @@ import sys
 from pathlib import Path
 from random import Random
 
-from .auxiliary import MEASURES, build_eat, importance_scores
+from .auxiliary import MEASURES, build_eat, check_pairing, importance_scores
 from .distance import itdm
-from .emt import Engine, EngineConfig
-from .errors import FlowmtError, ConfigError
+from .errors import ConfigError, FlowmtError, ParameterError
 from .harness import (
+    build_engine,
     config_items,
     distance_sweep,
     group_metrics,
@@ -162,21 +162,11 @@ def _cmd_solve(args) -> int:
     algo = parse_algorithm(f"{'MFEA-I' if args.encoding == 'realkey' else 'P-MFEA'}"
                            f"/{args.pairing}/{args.transfer}")
     pair = algo.make_pair(inst, Path(args.instance).parent)
-    budget = None
-    if args.budget_factor is not None:
-        budget = args.budget_factor * inst.n * inst.m
-    if budget is None and args.generations is None:
-        budget = 0.03 * inst.n * inst.m
-    config = EngineConfig(
-        population=args.pop,
-        ls_intensity=args.ls,
-        encoding=args.encoding,
-        transfer_mode=args.transfer,
-        time_budget=budget,
-        max_generations=args.generations,
-        rng_seed=args.seed,
-    )
-    result = Engine(pair, config).run()
+    factor = args.budget_factor
+    if factor is None and args.generations is None:
+        factor = 0.03  # the paper's budget: 0.03 * n * m seconds
+    engine = build_engine(algo, pair, args.seed, args.pop, args.ls, factor, args.generations)
+    result = engine.run()
     print("best_makespan =", result.best_makespan)
     if inst.best_known is not None:
         print(f"re = {relative_error(result.best_makespan, inst.best_known):.4f}")
@@ -202,20 +192,20 @@ def _parse_sweep_config(text: str, base_dir: Path):
         if key == "instance":
             instances.append(load_instance_file(base_dir / value))
         elif key in ("measures", "ratios", "seed"):
-            tokens = [tok.strip().lower() for tok in value.split(",") if tok.strip()]
+            tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
             try:
                 if key == "measures":
-                    measures = tokens
-                    bad = [tok for tok in tokens if tok not in MEASURES]
+                    measures = [check_pairing(tok) for tok in tokens]
                 elif key == "ratios":
                     ratios = [int(tok) for tok in tokens]
-                    bad = [k for k in ratios if not 10 <= k <= 90]
+                    for k in ratios:
+                        check_pairing(k=k)
                 else:
-                    seed, bad = int(value), []
+                    seed = int(value)
+            except ParameterError as exc:
+                raise ConfigError(f"line {line_no}: bad value for {key}: {exc}") from None
             except ValueError:
-                bad = [value]
-            if bad:
-                raise ConfigError(f"line {line_no}: bad value for {key}: {bad[0]!r}")
+                raise ConfigError(f"line {line_no}: bad value for {key}: {value!r}") from None
         elif key == "out":
             out = value
         else:

@@ -107,10 +107,11 @@ def itdm(Q, P) -> DistanceResult:
     if cos <= 0.0:
         # Nearest point on the nonnegative ray is the origin.
         return DistanceResult(d=1.0, t_star=0.0, b_star=float(q.mean()), cos_theta=cos)
-    t_star, b_star = optimal_scale_shift(q, p)
-    residual = float(np.linalg.norm(qc.values - (dot / pc.frobenius**2) * pc.values))
+    t_star = dot / pc.frobenius**2  # the least-squares scale, positive here
+    residual = float(np.linalg.norm(qc.values - t_star * pc.values))
     sin = residual / qc.frobenius
     d = min(1.0, sin / (1.0 + cos))
+    b_star = float(q.mean() - t_star * p.mean())
     return DistanceResult(d=d, t_star=t_star, b_star=b_star, cos_theta=cos)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import NamedTuple
 
-from .auxiliary import EatSpec, MEASURES, build_eat, critical_count
+from .auxiliary import EatSpec, build_eat, check_pairing, critical_count
 from .errors import ConfigError, UnderfullPoolError
 from .instance import Instance, _makespans
 from .search import _draw_walk, _insert_best, _two_positions, _walk_minima
@@ -67,10 +67,7 @@ class ImpTsk:
     k: int
 
     def __post_init__(self):
-        if self.measure.lower() not in MEASURES:
-            raise ConfigError(f"unknown importance measure {self.measure!r}")
-        if not 10 <= self.k <= 90:
-            raise ConfigError(f"sampling ratio {self.k} outside 10..90")
+        check_pairing(self.measure, self.k)
 
 
 @dataclass(frozen=True)
@@ -341,9 +338,8 @@ class Engine:
         """Score the walks of ``kids``, all skilled at one task and drawn in
         order by ``draw`` into ``rows``, in one batch.
 
-        Each kid's objective is the first minimum of its walk; after walks of
-        one move or more its genotype is re-aligned so decoding reproduces
-        that sequence.
+        Each kid's objective is the first minimum of its walk, and its
+        genotype is re-aligned so decoding reproduces that sequence.
         """
         task = kids[0].skill
         mat, jobs = self.tasks[task]
@@ -351,8 +347,6 @@ class Engine:
         seqs, values = _walk_minima(mat.p, rows, len(kids), length)
         for ind, seq, value in zip(kids, seqs, values):
             ind.objectives[task] = value
-            if self.config.ls_intensity == 0:
-                continue
             if jobs is None:
                 full = seq
             else:
@@ -361,18 +355,14 @@ class Engine:
             ind.genotype = self.encode(ind.genotype, full)
 
     def explicit_transfer(
-        self,
-        population: list[Individual],
-        generation: int,
-        rng: Random,
-        deadline: float | None = None,
+        self, population: list[Individual], generation: int, deadline: float | None = None
     ) -> list[Individual]:
         """Patch the best auxiliary-skill schedules into expensive-task offspring.
 
         Runs every ``_TRANSFER_PERIOD`` generations and takes at most
         ``_TRANSFER_COUNT`` donors; the remaining jobs are inserted in
         descending importance at their best positions, in one batch over all
-        donors that also yields each offspring's makespan; ``rng`` is unused.
+        donors that also yields each offspring's makespan.
         ``deadline`` is checked once, before the batch, which is the unit of
         work: five donors at 100x20 take about 25-45 ms, where one patch alone
         took about 26 ms before batching.
@@ -474,7 +464,7 @@ class Engine:
                 kids, rows = pending.pop(task)
                 if kids:
                     self.improve(kids, rows)
-            offspring.extend(self.explicit_transfer(pop, gen, rng, deadline))
+            offspring.extend(self.explicit_transfer(pop, gen, deadline))
             pop = self.select(pop + offspring)
             trace.append(TracePoint(elapsed(), gen, self.best(pop).objectives[TASK_EXP]))
 

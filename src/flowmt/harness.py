@@ -25,7 +25,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterator, TextIO
 
-from .auxiliary import build_eat, importance_scores
+from .auxiliary import build_eat, check_pairing, importance_scores
 from .distance import cos_theta_lower_bound, itdm, zero_pad
 from .emt import Engine, EngineConfig, ImpTsk, RndTsk, TaskPair
 from .errors import ConfigError, FlowmtError, ParameterError, ParseError
@@ -39,6 +39,7 @@ __all__ = [
     "aggregate",
     "load_instance_file",
     "parse_algorithm",
+    "build_engine",
     "parse_campaign_config",
     "run_campaign",
     "distance_sweep",
@@ -191,25 +192,31 @@ def parse_algorithm(name: str) -> AlgorithmSpec:
     except ValueError:
         raise ConfigError(f"bad sampling ratio in pairing {pairing!r}") from None
     try:
-        ImpTsk(measure, k)  # checks measure and ratio now, not when the first cell runs
-    except ConfigError as exc:
+        check_pairing(measure, k)  # now, not when the first cell runs
+    except ParameterError as exc:
         raise ConfigError(f"bad pairing {pairing!r}: {exc}") from None
     return AlgorithmSpec(name=name, encoding=enc, transfer=mode, measure=measure, k=k)
+
+
+def build_engine(
+    algo: AlgorithmSpec, pair: TaskPair, seed: int, population: int, ls_intensity: int,
+    budget_factor: float | None, max_generations: int | None,
+) -> Engine:
+    """The engine for one run of ``algo`` on ``pair``. Its wall-clock budget,
+    when ``budget_factor`` is set, is ``budget_factor * n * m`` seconds for
+    an n-job, m-machine expensive task."""
+    budget = None if budget_factor is None else budget_factor * pair.exp.n * pair.exp.m
+    config = EngineConfig(
+        population=population, ls_intensity=ls_intensity, encoding=algo.encoding,
+        transfer_mode=algo.transfer, time_budget=budget, max_generations=max_generations,
+        rng_seed=seed,
+    )
+    return Engine(pair, config)
 
 
 # ---------------------------------------------------------------------------
 # Campaign configuration: flat key=value text, repeated instance=/algorithm=.
 # ---------------------------------------------------------------------------
-
-
-# Campaign keys that every cell passes on to its EngineConfig. A cell's time
-# budget is budget_factor * n * m, which has the sign of the factor.
-_ENGINE_FIELDS = {
-    "population": "population",
-    "ls_intensity": "ls_intensity",
-    "max_generations": "max_generations",
-    "budget_factor": "time_budget",
-}
 
 
 @dataclass
@@ -227,11 +234,17 @@ class CampaignConfig:
     base_dir: str = "."
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
+        for key in ("runs", "parallelism"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.budget_factor is None and self.max_generations is None:
             raise ConfigError("set budget_factor, max_generations, or both")
-        EngineConfig(**{name: getattr(self, key) for key, name in _ENGINE_FIELDS.items()})
+        # the values every cell's EngineConfig gets; a cell's time budget (see
+        # build_engine) has the sign of budget_factor
+        EngineConfig(
+            population=self.population, ls_intensity=self.ls_intensity,
+            time_budget=self.budget_factor, max_generations=self.max_generations,
+        )
         seen: dict = {}
         for name in self.algorithms:
             _check_new_algorithm(seen, name)
@@ -261,12 +274,12 @@ def config_items(text: str) -> Iterator[tuple[int, str, str]]:
 
 
 def parse_campaign_config(text: str, base_dir: str | Path = ".") -> CampaignConfig:
-    """The campaign that ``key=value`` text describes. Every engine value is
-    checked by EngineConfig on its own line, so a bad one is named before any
-    output exists."""
+    """The campaign that ``key=value`` text describes. Every value is checked
+    by CampaignConfig on its own line, so a bad one is named before any output
+    exists."""
     kwargs: dict = {"instances": [], "algorithms": [], "base_dir": str(base_dir)}
     seen: dict = {}
-    engine = EngineConfig(max_generations=0)
+    probe = CampaignConfig(max_generations=0)
     scalars = {
         "runs": int,
         "base_seed": int,
@@ -289,8 +302,7 @@ def parse_campaign_config(text: str, base_dir: str | Path = ".") -> CampaignConf
         elif key in scalars:
             try:
                 kwargs[key] = scalars[key](value)
-                if key in _ENGINE_FIELDS:
-                    engine = replace(engine, **{_ENGINE_FIELDS[key]: kwargs[key]})
+                probe = replace(probe, **{key: kwargs[key]})
             except ConfigError as exc:
                 raise ConfigError(f"line {line_no}: {exc}") from None
             except ValueError:
@@ -311,21 +323,6 @@ def _cell_trace_path(algorithm: str, instance: str, run_index: int) -> Path:
     return Path("traces") / f"{safe}__{instance}__run{run_index}.csv"
 
 
-def _engine_config(cfg: CampaignConfig, algo: AlgorithmSpec, exp: Instance, seed: int) -> EngineConfig:
-    budget = None
-    if cfg.budget_factor is not None:
-        budget = cfg.budget_factor * exp.n * exp.m
-    return EngineConfig(
-        population=cfg.population,
-        ls_intensity=cfg.ls_intensity,
-        encoding=algo.encoding,
-        transfer_mode=algo.transfer,
-        time_budget=budget,
-        max_generations=cfg.max_generations,
-        rng_seed=seed,
-    )
-
-
 def write_trace_csv(path: str | Path, trace: list) -> None:
     """Convergence CSV: one (elapsed_s, generation, best_makespan) row per point."""
     with open(path, "w", newline="") as fh:
@@ -336,18 +333,20 @@ def write_trace_csv(path: str | Path, trace: list) -> None:
 
 
 def _run_cell(args) -> RunRecord:
-    """Execute one (algorithm, instance, run) cell; top-level so pools can pickle it."""
-    algo, pair, config, run_index, trace_path = args
-    seed = config.base_seed + run_index
-    result = Engine(pair, _engine_config(config, algo, pair.exp, seed)).run()
-    trace_file = Path(config.base_dir) / config.out_dir / trace_path
+    """Run one (algorithm, instance, run) cell's engine and write its trace
+    under ``out_dir``; top-level so pools can pickle it."""
+    algorithm, engine, run_index, out_dir = args
+    result = engine.run()
+    instance = engine.pair.exp.name
+    trace_path = _cell_trace_path(algorithm, instance, run_index)
+    trace_file = out_dir / trace_path
     trace_file.parent.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace_file, result.trace)
     return RunRecord(
-        algorithm=algo.name,
-        instance=pair.exp.name,
+        algorithm=algorithm,
+        instance=instance,
         run_index=run_index,
-        seed=seed,
+        seed=engine.config.rng_seed,
         makespan=result.best_makespan,
         elapsed_s=result.elapsed_s,
         trace_path=str(trace_path),
@@ -426,16 +425,20 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
             raise ConfigError(f"two instance files share the name {inst.name!r}")
         instances[inst.name] = inst
 
-    # every (algorithm, instance) pairing is built, and so checked, before any cell runs
-    pairs = {}
+    # every cell's engine is built, and so checked, before any output exists
+    engines = {}
     for algo in config.algorithms:
         spec = parse_algorithm(algo)
         for name, inst in instances.items():
             try:
-                pairs[algo, name] = (spec, spec.make_pair(inst, base))
+                pair = spec.make_pair(inst, base)
+                for run_index in range(config.runs):
+                    engines[algo, name, run_index] = build_engine(
+                        spec, pair, config.base_seed + run_index, config.population,
+                        config.ls_intensity, config.budget_factor, config.max_generations,
+                    )
             except FlowmtError as exc:
                 raise ConfigError(f"algorithm {algo!r} on instance {name!r}: {exc}") from None
-    cells = [(algo, name, run_index) for algo, name in pairs for run_index in range(config.runs)]
 
     out_dir = base / config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -444,8 +447,8 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
     if runs_path.exists():
         done = {(r.algorithm, r.instance, r.run_index): r for r in read_runs_csv(runs_path)}
     pending = [
-        (*pairs[algo, name], config, run_index, _cell_trace_path(algo, name, run_index))
-        for algo, name, run_index in cells
+        (algo, engine, run_index, out_dir)
+        for (algo, name, run_index), engine in engines.items()
         if (algo, name, run_index) not in done
     ]
 
@@ -477,7 +480,7 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
             for cell in pending:
                 record(_run_cell(cell))
 
-    records = [done[cell] for cell in cells]
+    records = [done[cell] for cell in engines]
     records.sort(key=lambda r: (r.algorithm, r.instance, r.run_index))
 
     # Reference makespans: best-known when the instance carries one, otherwise

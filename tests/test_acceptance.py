@@ -354,7 +354,7 @@ def test_c10_engine_invariants(tmp_path, monkeypatch):
             (ind for ind in pop if ind.skill == TASK_EAT),
             key=lambda ind: (ind.objectives[TASK_EAT], ind.uid),
         )[:4]
-        transferred = engine.explicit_transfer(pop, gen, grng)
+        transferred = engine.explicit_transfer(pop, gen)
         assert len(transferred) == len(donors)
         for donor, new in zip(donors, transferred):
             assert new.skill == TASK_EXP

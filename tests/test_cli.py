@@ -3,7 +3,11 @@ from random import Random
 
 import pytest
 
+from flowmt.auxiliary import build_eat
 from flowmt.cli import main
+from flowmt.emt import ImpTsk
+from flowmt.errors import ParameterError
+from flowmt.harness import read_runs_csv
 from flowmt.instance import Instance, parse_instance, write_instance
 
 from conftest import FIG2_TIMES, random_matrix
@@ -178,6 +182,77 @@ def test_distance_sweep_bad_number_names_line(tmp_path, fig2_file, capsys, bad_l
     assert main(["distance-sweep", str(config)]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err and bad_line.split("=")[0] in err
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("measures=lsp,zzz", "unknown importance measure 'zzz'"),
+        ("ratios=20,5", "sampling ratio 5 outside 10..90"),
+    ],
+    ids=["measure", "ratio"],
+)
+def test_pairing_rules_give_one_message(
+    tmp_path, fig2_file, fig2_matrix, capsys, bad_line, message
+):
+    # the auxiliary task, the compact-task builder and the sweep parser share one check
+    measure, ratio = ("zzz", 20) if bad_line.startswith("measures") else ("lsp", 5)
+    with pytest.raises(ParameterError) as pairing:
+        ImpTsk(measure, ratio)
+    with pytest.raises(ParameterError) as eat:
+        build_eat(fig2_matrix, measure, ratio)
+    assert str(pairing.value) == str(eat.value) == message
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"instance={fig2_file}\nmeasures=lsp\n{bad_line}\n")
+    assert main(["distance-sweep", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"line 3: bad value for {bad_line.split('=')[0]}: {message}" in err
+    assert bad_line.split("=")[1] not in err  # the bad token, not the whole list
+
+
+def test_experiment_ri_on_random_pairing_fails_before_any_cell(tmp_path, fig2_file, capsys):
+    # the RI rule lives in Engine; the campaign builds every cell's engine first
+    aux = Instance(random_matrix(Random(32), 4, 5), name="aux")
+    (tmp_path / "aux.txt").write_text(write_instance(aux))
+    config = tmp_path / "campaign.cfg"
+    config.write_text(
+        "instance=fig2.txt\n"
+        "algorithm=MFEA-I/LSP-50/IK\n"
+        "algorithm=MFEA-I/RndTsk2:aux.txt/RI\n"
+        "max_generations=1\npopulation=6\nls_intensity=1\nout_dir=out\n"
+    )
+    assert main(["experiment", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "algorithm 'MFEA-I/RndTsk2:aux.txt/RI' on instance 'fig2'" in err
+    assert "patched-solution transfer" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "engine, encoding, pairing, transfer",
+    [("MFEA-I", "realkey", "LSP-30", "RI"), ("P-MFEA", "perm", "KK1-40", "IK")],
+)
+def test_solve_matches_one_cell_campaign(
+    tmp_path, fig2_file, capsys, engine, encoding, pairing, transfer
+):
+    # both commands build their engine with harness.build_engine
+    config = tmp_path / "one.cfg"
+    config.write_text(
+        f"instance=fig2.txt\nalgorithm={engine}/{pairing}/{transfer}\n"
+        "base_seed=7\nmax_generations=4\npopulation=6\nls_intensity=3\nout_dir=out\n"
+    )
+    assert main(["experiment", str(config)]) == 0
+    trace = tmp_path / "solve.csv"
+    argv = [
+        "solve", str(fig2_file), "--pairing", pairing, "--transfer", transfer.lower(),
+        "--encoding", encoding, "--generations", "4", "--seed", "7", "--pop", "6",
+        "--ls", "3", "--trace-out", str(trace),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 0
+    (record,) = read_runs_csv(tmp_path / "out" / "runs.csv")
+    assert f"best_makespan = {record.makespan}\n" in capsys.readouterr().out
+    assert trace.read_bytes() == (tmp_path / "out" / record.trace_path).read_bytes()
 
 
 def test_experiment_bad_pairing_ratio_names_line_before_running(tmp_path, fig2_file, capsys):

@@ -271,8 +271,8 @@ class TestExplicitTransfer:
         monkeypatch.setattr(flowmt.emt, "_TRANSFER_COUNT", 3)
         eng = make_engine(fig2_matrix)
         pop = eng.initialize(Random(16))
-        assert eng.explicit_transfer(pop, 3, Random(17)) == []
-        assert eng.explicit_transfer(pop, 5, Random(17)) != []
+        assert eng.explicit_transfer(pop, 3) == []
+        assert eng.explicit_transfer(pop, 5) != []
 
     def test_no_donors_gives_empty(self, fig2_matrix, monkeypatch):
         monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 1)
@@ -280,12 +280,12 @@ class TestExplicitTransfer:
         eng = make_engine(fig2_matrix)
         pop = eng.initialize(Random(18))
         only_exp = [ind for ind in pop if ind.skill == TASK_EXP]
-        assert eng.explicit_transfer(only_exp, 5, Random(19)) == []
+        assert eng.explicit_transfer(only_exp, 5) == []
 
     def test_ik_mode_never_transfers(self, fig2_matrix):
         eng = make_engine(fig2_matrix, transfer_mode="ik")
         pop = eng.initialize(Random(20))
-        assert eng.explicit_transfer(pop, 5, Random(21)) == []
+        assert eng.explicit_transfer(pop, 5) == []
 
     def test_skeleton_preservation(self, fig2_matrix, monkeypatch):
         monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 1)
@@ -296,7 +296,7 @@ class TestExplicitTransfer:
             (ind for ind in pop if ind.skill == TASK_EAT),
             key=lambda ind: (ind.objectives[TASK_EAT], ind.uid),
         )
-        transferred = eng.explicit_transfer(pop, 5, Random(23))
+        transferred = eng.explicit_transfer(pop, 5)
         assert len(transferred) == min(len(donors), 8)
         critical = eng.aux.S
         for donor, new in zip(donors, transferred):
@@ -314,7 +314,7 @@ class TestExplicitTransfer:
         for seed in range(5):
             eng = make_engine(fig2_matrix, encoding=encoding)
             pop = eng.initialize(Random(40 + seed))
-            transferred = eng.explicit_transfer(pop, 5, Random(41))
+            transferred = eng.explicit_transfer(pop, 5)
             assert transferred
             for new in transferred:
                 assert new.objectives == {TASK_EXP: rescore(eng, TASK_EXP, new.genotype)}
@@ -324,10 +324,10 @@ class TestExplicitTransfer:
         eng = make_engine(fig2_matrix)
         pop = eng.initialize(Random(42))
         uid = eng._uid
-        assert eng.explicit_transfer(pop, 5, Random(43), deadline=time.perf_counter()) == []
+        assert eng.explicit_transfer(pop, 5, deadline=time.perf_counter()) == []
         assert eng._uid == uid
         later = time.perf_counter() + 60.0
-        assert eng.explicit_transfer(pop, 5, Random(43), deadline=later) != []
+        assert eng.explicit_transfer(pop, 5, deadline=later) != []
 
 
 class TestSelect:

@@ -171,10 +171,14 @@ class TestCampaignConfigParsing:
             ("max_generations=-2", "generation limit must be >= 0"),
             ("budget_factor=-0.5", "time budget must be >= 0"),
             ("budget_factor=nan", "time budget must be >= 0"),
+            ("runs=0", "runs must be >= 1, got 0"),
+            ("parallelism=0", "parallelism must be >= 1, got 0"),
+            ("parallelism=-3", "parallelism must be >= 1, got -3"),
         ],
     )
     def test_bad_engine_value_line_named(self, bad_line, rule):
-        # each cell's EngineConfig would reject it, after the output existed
+        # each cell's EngineConfig would reject an engine value only once the
+        # output existed, and a parallelism below 1 would run cells serially
         text = f"algorithm=MFEA-I/LSP-50/IK\nmax_generations=2\n{bad_line}\nruns=1\n"
         with pytest.raises(ConfigError, match=f"line 3: {rule}"):
             parse_campaign_config(text)
