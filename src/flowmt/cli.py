@@ -21,6 +21,7 @@ from .harness import (
     distance_sweep,
     group_metrics,
     load_instance_file,
+    load_instance_files,
     parse_algorithm,
     parse_campaign_config,
     read_runs_csv,
@@ -187,10 +188,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _parse_sweep_config(text: str, base_dir: Path):
-    instances, measures, ratios, seed, out = [], list(MEASURES), None, 0, "distances.csv"
+    paths, measures, ratios, seed, out = [], list(MEASURES), None, 0, "distances.csv"
     for line_no, key, value in config_items(text):
         if key == "instance":
-            instances.append(load_instance_file(base_dir / value))
+            paths.append(value)
         elif key in ("measures", "ratios", "seed"):
             tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
             try:
@@ -212,6 +213,7 @@ def _parse_sweep_config(text: str, base_dir: Path):
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
     if ratios is None:
         ratios = list(range(10, 100, 10))
+    instances = list(load_instance_files(paths, base_dir).values())
     return instances, measures, ratios, seed, base_dir / out
 
 

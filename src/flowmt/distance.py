@@ -9,7 +9,6 @@ tasks are equivalent up to scale/shift, 1 means no usable similarity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -149,5 +148,8 @@ def cos_theta_lower_bound(P, S: Iterable[int]) -> float:
             raise JobIndexError(f"critical job {job} outside 1..{n}")
     g = len(jobs)
     p_sq = (p * p).sum()
-    q_sq = sum((p[job - 1] * p[job - 1]).sum() for job in jobs)
+    rows = p[np.asarray(jobs) - 1]
+    # one sum over the kept rows; processing times are integers, so every
+    # partial sum is exact below 2^53 and the order of summation cannot show
+    q_sq = (rows * rows).sum()
     return float((m / (2.0 * (n * m - 1))) * (n * q_sq / p_sq - g))

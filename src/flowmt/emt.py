@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
+from math import cos, log, sin, sqrt, tau
 from random import Random
 from typing import NamedTuple
 
@@ -244,10 +245,11 @@ class Engine:
         adopts the task where it ranks better (ties favor the expensive task)."""
         if self.aux is None:
             self.resolve(rng)
+        random = rng.random
         pop = []
         for _ in range(self.config.population):
             if self.config.encoding == "realkey":
-                genotype = tuple(rng.random() for _ in range(self.D))
+                genotype = tuple([random() for _ in range(self.D)])
             else:
                 seq = list(range(1, self.D + 1))
                 rng.shuffle(seq)
@@ -264,22 +266,57 @@ class Engine:
         return pop
 
     def _sbx(self, xa: tuple, xb: tuple, rng: Random) -> tuple[tuple, tuple]:
-        eta = _SBX_ETA
+        """Simulated binary crossover, one ``rng.random()`` per gene, children
+        clamped to [0, 1].
+
+        ``(v if v < 1.0 else 1.0) if v > 0.0 else 0.0`` is exactly what
+        ``min(1.0, max(0.0, v))`` returns, for -0.0 and NaN too, without the
+        two builtin calls per key; a test pins the children and the rng state
+        against the ``min``/``max`` loop.
+        """
+        random = rng.random
+        exponent = 1.0 / (_SBX_ETA + 1.0)
         c1, c2 = [], []
+        put1, put2 = c1.append, c2.append
         for a, b in zip(xa, xb):
-            u = rng.random()
+            u = random()
             if u <= 0.5:
-                beta = (2.0 * u) ** (1.0 / (eta + 1.0))
+                beta = (2.0 * u) ** exponent
             else:
-                beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+                beta = (1.0 / (2.0 * (1.0 - u))) ** exponent
             v1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
             v2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
-            c1.append(min(1.0, max(0.0, v1)))
-            c2.append(min(1.0, max(0.0, v2)))
+            put1((v1 if v1 < 1.0 else 1.0) if v1 > 0.0 else 0.0)
+            put2((v2 if v2 < 1.0 else 1.0) if v2 > 0.0 else 0.0)
         return tuple(c1), tuple(c2)
 
     def _gauss_mutate(self, x: tuple, rng: Random) -> tuple:
-        return tuple(min(1.0, max(0.0, v + rng.gauss(0.0, _MUT_SIGMA))) for v in x)
+        """Each key plus ``rng.gauss(0.0, _MUT_SIGMA)``, clamped to [0, 1].
+
+        Inlines ``random.gauss`` of CPython 3.10-3.12: a pair of ``random()``
+        draws gives a cosine deviate for one key and a sine deviate kept in
+        ``rng.gauss_next`` for the next, so an odd key count carries the spare
+        into the next call as ``gauss`` does. Every float operation is gauss's
+        own, ``0.0 + z * sigma`` included; a test pins the keys and the rng
+        state against ``gauss`` itself.
+        """
+        random = rng.random
+        sigma = _MUT_SIGMA
+        z = rng.gauss_next
+        out = []
+        put = out.append
+        for v in x:
+            if z is None:
+                x2pi = random() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                v += 0.0 + cos(x2pi) * g2rad * sigma
+                z = sin(x2pi) * g2rad
+            else:
+                v += 0.0 + z * sigma
+                z = None
+            put((v if v < 1.0 else 1.0) if v > 0.0 else 0.0)
+        rng.gauss_next = z
+        return tuple(out)
 
     def _ordered_crossover(self, pa: tuple, pb: tuple, rng: Random) -> tuple[tuple, tuple]:
         length = len(pa)

@@ -138,6 +138,20 @@ def load_instance_file(path: str | Path) -> Instance:
             ) from None
 
 
+def load_instance_files(paths: list[str], base_dir: str | Path = ".") -> dict[str, Instance]:
+    """The instances of a config's ``instance=`` lines, by name. A config needs
+    at least one, and no two files may share a name: their rows would merge."""
+    if not paths:
+        raise ConfigError("config has no instance= line")
+    instances = {}
+    for rel in paths:
+        inst = load_instance_file(Path(base_dir) / rel)
+        if inst.name in instances:
+            raise ConfigError(f"two instance files share the name {inst.name!r}")
+        instances[inst.name] = inst
+    return instances
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     name: str
@@ -418,12 +432,9 @@ def write_metrics_csv(stream: TextIO, rows: list[MetricsRow]) -> None:
 def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsRow]]:
     """Run every cell, resuming past work, and write runs/metrics/trace CSVs."""
     base = Path(config.base_dir)
-    instances = {}
-    for rel in config.instances:
-        inst = load_instance_file(base / rel)
-        if inst.name in instances:
-            raise ConfigError(f"two instance files share the name {inst.name!r}")
-        instances[inst.name] = inst
+    if not config.algorithms:
+        raise ConfigError("config has no algorithm= line")
+    instances = load_instance_files(config.instances, base)
 
     # every cell's engine is built, and so checked, before any output exists
     engines = {}

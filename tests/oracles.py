@@ -3,7 +3,8 @@
 Everything here is written against the raw definitions, separately from the
 library code paths it checks: a full-table completion-time recursion, a
 brute-force optimum, a second insertion heuristic, a numeric scale/shift
-minimizer, and a Schrage-form reimplementation of the benchmark generator.
+minimizer, a Schrage-form reimplementation of the benchmark generator, and
+the real-key mating operators as plain ``random.gauss``/``min``/``max`` loops.
 """
 
 from __future__ import annotations
@@ -108,3 +109,25 @@ def taillard_reference(n: int, m: int, seed: int) -> list[list[int]]:
             state = schrage_next(state)
             p[i][j] = 1 + int(state / TAILLARD_MOD * 99)
     return p
+
+
+def sbx_reference(xa: tuple, xb: tuple, rng, eta: float) -> tuple[tuple, tuple]:
+    """Simulated binary crossover, one ``rng.random()`` per gene, clamped with
+    ``min``/``max``."""
+    c1, c2 = [], []
+    for a, b in zip(xa, xb):
+        u = rng.random()
+        if u <= 0.5:
+            beta = (2.0 * u) ** (1.0 / (eta + 1.0))
+        else:
+            beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+        v1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
+        v2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
+        c1.append(min(1.0, max(0.0, v1)))
+        c2.append(min(1.0, max(0.0, v2)))
+    return tuple(c1), tuple(c2)
+
+
+def gauss_mutate_reference(x: tuple, rng, sigma: float) -> tuple:
+    """Each key plus ``rng.gauss(0.0, sigma)``, clamped with ``min``/``max``."""
+    return tuple(min(1.0, max(0.0, v + rng.gauss(0.0, sigma))) for v in x)

@@ -10,8 +10,6 @@ import statistics
 import time
 from random import Random
 
-import pytest
-
 import flowmt.emt
 from flowmt.auxiliary import MEASURES, build_eat, importance_scores
 from flowmt.distance import cos_theta_lower_bound, itdm, optimal_scale_shift, zero_pad

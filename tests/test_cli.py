@@ -175,6 +175,37 @@ def test_distance_sweep_command(tmp_path, fig2_file, capsys):
         assert float(row["cos_theta"]) >= float(row["bound"]) - 1e-12
 
 
+def test_distance_sweep_without_instances_fails(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("measures=lsp\nratios=20\nout=sweep.csv\n")
+    assert main(["distance-sweep", str(config)]) == 2
+    assert "no instance= line" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_distance_sweep_rejects_two_files_with_one_name(tmp_path, fig2_matrix, capsys):
+    # both would write rows named 'fig2'
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "fig2.txt").write_text(write_instance(Instance(fig2_matrix)))
+    config = tmp_path / "sweep.cfg"
+    config.write_text("instance=a/fig2.txt\ninstance=b/fig2.txt\nout=sweep.csv\n")
+    assert main(["distance-sweep", str(config)]) == 2
+    assert "two instance files share the name 'fig2'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("missing", ["instance", "algorithm"])
+def test_experiment_without_cells_fails_before_any_output(tmp_path, fig2_file, capsys, missing):
+    lines = {"instance": f"instance={fig2_file.name}", "algorithm": "algorithm=MFEA-I/LSP-40/IK"}
+    del lines[missing]
+    config = tmp_path / "campaign.cfg"
+    config.write_text("\n".join([*lines.values(), "max_generations=1", "out_dir=out"]) + "\n")
+    assert main(["experiment", str(config)]) == 2
+    assert f"no {missing}= line" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("bad_line", ["ratios=20,x", "seed=abc", "measures=lsp,foo", "ratios=5"])
 def test_distance_sweep_bad_number_names_line(tmp_path, fig2_file, capsys, bad_line):
     config = tmp_path / "sweep.cfg"

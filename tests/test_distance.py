@@ -1,5 +1,4 @@
 import itertools
-import math
 from random import Random
 
 import numpy as np

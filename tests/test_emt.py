@@ -6,7 +6,6 @@ import pytest
 
 import flowmt.emt
 import flowmt.search
-from flowmt.auxiliary import build_eat
 from flowmt.emt import (
     TASK_EAT,
     TASK_EXP,
@@ -23,6 +22,7 @@ from flowmt.instance import Instance, generate_taillard, makespan
 from flowmt.transfer import project_to_eat, rov_decode
 
 from conftest import random_matrix
+from oracles import gauss_mutate_reference, sbx_reference
 
 
 def make_pair(fig2_matrix, measure="lsp", k=40):
@@ -215,6 +215,67 @@ class TestPermutationOperators:
         assert eng._ordered_crossover((1,), (1,), rng) == ((1,), (1,))
         assert eng._swap_mutate((1,), rng) == (1,)
         assert rng.getstate() == twin.getstate()
+
+
+def realkey_engine():
+    inst = Instance(random_matrix(Random(0), 5, 3), name="n5")
+    return Engine(TaskPair(inst, RndTsk(1, inst)), EngineConfig(population=4, max_generations=1))
+
+
+def exact(keys):
+    return tuple(v.hex() for v in keys)
+
+
+def clamped_parent(rng, genes):
+    """Keys of which about two thirds sit on the clamp bounds, as SBX leaves them."""
+    return tuple(rng.choice((0.0, 1.0, rng.random())) for _ in range(genes))
+
+
+class TestRealKeyOperators:
+    """The engine's tight loops against the plain ``random.gauss``/``min``/``max``
+    loops of ``oracles``, on twin rngs: the same keys to the bit and the same
+    rng state, ``gauss_next`` included, after every call."""
+
+    GENES = [1, 2, 3, 20, 99, 100]
+
+    @pytest.mark.parametrize("genes", GENES)
+    def test_sbx_matches_reference(self, genes):
+        eng = realkey_engine()
+        rng, twin, parents = Random(genes), Random(genes), Random(-genes)
+        for _ in range(300):
+            xa, xb = clamped_parent(parents, genes), clamped_parent(parents, genes)
+            got = eng._sbx(xa, xb, rng)
+            want = sbx_reference(xa, xb, twin, flowmt.emt._SBX_ETA)
+            assert [exact(c) for c in got] == [exact(c) for c in want]
+            assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("genes", GENES)
+    def test_gauss_mutate_matches_reference(self, genes):
+        # one rng across calls: with an odd gene count the spare deviate in
+        # gauss_next carries from each call into the next
+        eng = realkey_engine()
+        rng, twin, parents = Random(genes), Random(genes), Random(-genes)
+        for _ in range(300):
+            x = clamped_parent(parents, genes)
+            got = eng._gauss_mutate(x, rng)
+            assert exact(got) == exact(gauss_mutate_reference(x, twin, flowmt.emt._MUT_SIGMA))
+            assert rng.getstate() == twin.getstate()
+
+    def test_mating_chain_matches_reference(self):
+        # crossover, then mutation of both children, as mate makes them, with
+        # gene counts that leave a spare deviate in gauss_next half the time
+        eng = realkey_engine()
+        rng, twin, parents = Random(11), Random(11), Random(12)
+        for step in range(600):
+            genes = self.GENES[step % len(self.GENES)]
+            xa, xb = clamped_parent(parents, genes), clamped_parent(parents, genes)
+            kids = eng._sbx(xa, xb, rng)
+            want = sbx_reference(xa, xb, twin, flowmt.emt._SBX_ETA)
+            for kid, ref in zip(kids, want):
+                got = eng._gauss_mutate(kid, rng)
+                ref = gauss_mutate_reference(ref, twin, flowmt.emt._MUT_SIGMA)
+                assert exact(got) == exact(ref)
+                assert rng.getstate() == twin.getstate()
 
 
 class TestImprove:

@@ -1,15 +1,12 @@
 import statistics
-from pathlib import Path
 from random import Random
 
 import pytest
 
-from flowmt.distance import cos_theta_lower_bound
 from flowmt.emt import Engine
 from flowmt.errors import ConfigError, ParameterError, ParseError
 from flowmt.harness import (
     CampaignConfig,
-    MetricsRow,
     RunRecord,
     _cell_trace_path,
     aggregate,
@@ -278,10 +275,10 @@ class TestRunCampaign:
         assert runs_csv.read_bytes() == pristine
 
     def test_empty_instance_list(self, campaign_dir):
-        records, metrics = run_campaign(small_config(campaign_dir, instances=[]))
-        assert records == []
-        assert metrics == []
-        assert (campaign_dir / "out" / "runs.csv").exists()
+        # a campaign of no cells is a config mistake, not header-only CSVs
+        with pytest.raises(ConfigError, match="no instance= line"):
+            run_campaign(small_config(campaign_dir, instances=[]))
+        assert not (campaign_dir / "out").exists()
 
     def test_best_known_reference_used(self, campaign_dir):
         # taillard-format header carries the reference makespan
