@@ -2,15 +2,7 @@
 evolutionary multitasking."""
 
 from .auxiliary import EatSpec, MEASURES, build_eat, importance_scores
-from .distance import (
-    CenteredMatrix,
-    DistanceResult,
-    center,
-    cos_theta_lower_bound,
-    itdm,
-    optimal_scale_shift,
-    zero_pad,
-)
+from .distance import DistanceResult, cos_theta_lower_bound, itdm, zero_pad
 from .emt import (
     Engine,
     EngineConfig,

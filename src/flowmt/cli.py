@@ -187,6 +187,16 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _check_sweep_list(line_no: int, key: str, values: list) -> None:
+    """A sweep's measures or ratios: at least one, none twice, or the sweep
+    would write no rows or repeat some."""
+    if not values:
+        raise ConfigError(f"line {line_no}: {key} lists no value")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"line {line_no}: {key} lists {value!r} twice")
+
+
 def _parse_sweep_config(text: str, base_dir: Path):
     paths, measures, ratios, seed, out = [], list(MEASURES), None, 0, "distances.csv"
     for line_no, key, value in config_items(text):
@@ -207,6 +217,8 @@ def _parse_sweep_config(text: str, base_dir: Path):
                 raise ConfigError(f"line {line_no}: bad value for {key}: {exc}") from None
             except ValueError:
                 raise ConfigError(f"line {line_no}: bad value for {key}: {value!r}") from None
+            if key != "seed":
+                _check_sweep_list(line_no, key, measures if key == "measures" else ratios)
         elif key == "out":
             out = value
         else:

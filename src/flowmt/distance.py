@@ -14,14 +14,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateFitError, JobIndexError, ParameterError, ShapeError
+from .errors import JobIndexError, ParameterError, ShapeError
 from .instance import ProblemMatrix
 
 __all__ = [
-    "CenteredMatrix",
     "DistanceResult",
-    "center",
-    "optimal_scale_shift",
     "itdm",
     "zero_pad",
     "cos_theta_lower_bound",
@@ -38,48 +35,11 @@ def _as_array(matrix) -> np.ndarray:
 
 
 @dataclass
-class CenteredMatrix:
-    """A matrix with its grand mean removed, plus the Frobenius norm."""
-
-    values: np.ndarray
-    frobenius: float
-
-
-@dataclass
 class DistanceResult:
     d: float        # normalized distance in [0, 1]
     t_star: float   # optimal scale, >= 0
     b_star: float   # optimal uniform shift
     cos_theta: float
-
-
-def center(matrix) -> CenteredMatrix:
-    """Subtract the grand mean from every entry."""
-    arr = _as_array(matrix)
-    centered = arr - arr.mean()
-    return CenteredMatrix(centered, float(np.linalg.norm(centered)))
-
-
-def optimal_scale_shift(Q, P) -> tuple[float, float]:
-    """Best (t, b) with t >= 0 minimizing ||Q - t*P - b*E||_F.
-
-    Least squares in t uses the regressor's (P's) second moment, so a
-    constant P leaves the fit undefined.
-    """
-    q = _as_array(Q)
-    p = _as_array(P)
-    if q.shape != p.shape:
-        raise ShapeError(f"shape mismatch {q.shape} vs {p.shape}")
-    nm = q.size
-    sum_q = q.sum()
-    sum_p = p.sum()
-    denom = nm * (p * p).sum() - sum_p * sum_p
-    if denom <= 0:
-        raise DegenerateFitError("reference matrix is constant; scale is undefined")
-    t0 = (nm * (q * p).sum() - sum_q * sum_p) / denom
-    t_star = max(t0, 0.0)
-    b_star = (sum_q - t_star * sum_p) / nm
-    return float(t_star), float(b_star)
 
 
 def itdm(Q, P) -> DistanceResult:
@@ -96,19 +56,21 @@ def itdm(Q, P) -> DistanceResult:
     p = _as_array(P)
     if q.shape != p.shape:
         raise ShapeError(f"shape mismatch {q.shape} vs {p.shape}")
-    qc = center(q)
-    pc = center(p)
-    if qc.frobenius == 0.0 or pc.frobenius == 0.0:
+    qc = q - q.mean()
+    pc = p - p.mean()
+    q_norm = float(np.linalg.norm(qc))
+    p_norm = float(np.linalg.norm(pc))
+    if q_norm == 0.0 or p_norm == 0.0:
         # A constant matrix ranks all schedules equally: no direction to match.
         return DistanceResult(d=1.0, t_star=0.0, b_star=float(q.mean()), cos_theta=0.0)
-    dot = float((pc.values * qc.values).sum())
-    cos = max(-1.0, min(1.0, dot / (pc.frobenius * qc.frobenius)))
+    dot = float((pc * qc).sum())
+    cos = max(-1.0, min(1.0, dot / (p_norm * q_norm)))
     if cos <= 0.0:
         # Nearest point on the nonnegative ray is the origin.
         return DistanceResult(d=1.0, t_star=0.0, b_star=float(q.mean()), cos_theta=cos)
-    t_star = dot / pc.frobenius**2  # the least-squares scale, positive here
-    residual = float(np.linalg.norm(qc.values - t_star * pc.values))
-    sin = residual / qc.frobenius
+    t_star = dot / p_norm**2  # the least-squares scale, positive here
+    residual = float(np.linalg.norm(qc - t_star * pc))
+    sin = residual / q_norm
     d = min(1.0, sin / (1.0 + cos))
     b_star = float(q.mean() - t_star * p.mean())
     return DistanceResult(d=d, t_star=t_star, b_star=b_star, cos_theta=cos)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
-from math import cos, log, sin, sqrt, tau
+from math import cos, inf, log, sin, sqrt, tau
 from random import Random
 from typing import NamedTuple
 
@@ -133,6 +133,8 @@ class EngineConfig:
             raise ConfigError("set a time budget, a generation limit, or both")
         if self.time_budget is not None and not self.time_budget >= 0:  # rejects NaN too
             raise ConfigError(f"time budget must be >= 0, got {self.time_budget}")
+        if self.time_budget == inf and self.max_generations is None:
+            raise ConfigError("an infinite time budget needs a generation limit")
         if self.max_generations is not None and self.max_generations < 0:
             raise ConfigError("generation limit must be >= 0")
 

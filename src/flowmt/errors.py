@@ -40,10 +40,6 @@ class ShapeError(FlowmtError, ValueError):
     """Matrix or vector dimensions do not match."""
 
 
-class DegenerateFitError(FlowmtError, ValueError):
-    """Scale/shift fit is undefined because the reference matrix is constant."""
-
-
 class PartitionError(FlowmtError, ValueError):
     """Two job collections do not partition the instance's job set."""
 

@@ -272,8 +272,11 @@ def parse_instance(data: bytes | str, fmt: str = "canonical", name: str = "") ->
                 raise ParseError(f"processing time {v} too large for 64-bit makespans", line_no, cidx)
             values[r, cidx - 1] = v
 
-    p = values if fmt == "canonical" else values.T.copy()
-    return Instance(ProblemMatrix(p), name=name, best_known=best_known, seed=seed)
+    matrix = ProblemMatrix(values if fmt == "canonical" else values.T.copy())
+    try:
+        return Instance(matrix, name=name, best_known=best_known, seed=seed)
+    except ParameterError as exc:  # only best_known, the header's fourth token, is checked
+        raise ParseError(str(exc), head_no, 4) from None
 
 
 def write_instance(instance: Instance) -> str:

@@ -218,6 +218,26 @@ def test_distance_sweep_bad_number_names_line(tmp_path, fig2_file, capsys, bad_l
 @pytest.mark.parametrize(
     "bad_line, message",
     [
+        ("ratios=,", "ratios lists no value"),
+        ("measures= , ", "measures lists no value"),
+        ("ratios=10,20,010", "ratios lists 10 twice"),
+        ("measures=lsp,LSP", "measures lists 'lsp' twice"),
+    ],
+)
+def test_distance_sweep_empty_or_repeated_list_names_line(
+    tmp_path, fig2_file, capsys, bad_line, message
+):
+    # an empty list would write no rows, a repeated value the same rows twice
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"instance={fig2_file}\nseed=1\n{bad_line}\nout=sweep.csv\n")
+    assert main(["distance-sweep", str(config)]) == 2
+    assert f"line 3: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
         ("measures=lsp,zzz", "unknown importance measure 'zzz'"),
         ("ratios=20,5", "sampling ratio 5 outside 10..90"),
     ],
@@ -316,6 +336,21 @@ def test_experiment_bad_engine_value_names_line_before_running(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_infinite_budget_without_generation_limit_fails_before_running(
+    tmp_path, fig2_file, capsys
+):
+    # such a run would never end
+    assert main(["solve", str(fig2_file), "--budget-factor", "inf"]) == 2
+    assert "infinite time budget needs a generation limit" in capsys.readouterr().err
+    config = tmp_path / "campaign.cfg"
+    config.write_text(
+        f"instance={fig2_file.name}\nalgorithm=MFEA-I/LSP-50/IK\nbudget_factor=inf\nout_dir=out\n"
+    )
+    assert main(["experiment", str(config)]) == 2
+    assert "infinite time budget needs a generation limit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_patch_repeated_job_exit_code(fig2_file, capsys):
     assert main(["patch", str(fig2_file), "--eat-perm", "1,1"]) == 2
     captured = capsys.readouterr()
@@ -328,6 +363,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     config.write_text("algorithm=not/a-real/thing\nmax_generations=1\n")
     assert main(["experiment", str(config)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_best_known_below_bound_names_file_and_token(tmp_path, capsys):
+    # a taillard file: 3 jobs, 2 machines, seed 7, best known 1 (the trivial bound is 15)
+    path = tmp_path / "t.txt"
+    path.write_text("3 2 7 1 0\n1 2 3\n4 5 6\n")
+    assert main(["solve", str(path), "--generations", "1"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "line 1, column 4: best_known 1 below trivial lower bound 15" in err
 
 
 def test_missing_file_exit_code(capsys):

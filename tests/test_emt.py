@@ -61,7 +61,9 @@ class TestConfigValidation:
             EngineConfig(time_budget=float("nan"))
         with pytest.raises(ConfigError, match="time budget must be >= 0"):
             EngineConfig(time_budget=float("nan"), max_generations=1)
-        EngineConfig(time_budget=float("inf"))
+        with pytest.raises(ConfigError, match="infinite time budget needs a generation limit"):
+            EngineConfig(time_budget=float("inf"))
+        EngineConfig(time_budget=float("inf"), max_generations=1)
 
     def test_ri_with_random_pairing_rejected_at_construction(self, fig2_matrix):
         rng = Random(1)

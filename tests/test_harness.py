@@ -184,6 +184,15 @@ class TestCampaignConfigParsing:
         with pytest.raises(ConfigError, match=rule):
             CampaignConfig(**kwargs)
 
+    def test_infinite_budget_needs_generation_limit(self):
+        # a deadline at infinity never passes: without a generation limit no cell ends
+        with pytest.raises(ConfigError, match="infinite time budget needs a generation limit"):
+            parse_campaign_config("algorithm=MFEA-I/LSP-50/IK\nbudget_factor=inf\n")
+        cfg = parse_campaign_config(
+            "algorithm=MFEA-I/LSP-50/IK\nbudget_factor=inf\nmax_generations=2\n"
+        )
+        assert cfg.budget_factor == float("inf")
+
     @pytest.mark.parametrize("again", ["MFEA-I/LSP-20/RI", "mfea-i/lsp-20/ri"])
     def test_repeated_algorithm_rejected(self, again):
         # listed twice, each of its cells would run twice, with the same seeds

@@ -5,9 +5,15 @@ for their unused-import rule. A name counts as read when it appears as a loaded
 ``Name`` node anywhere in the module (a call, an attribute root, an annotation,
 a decorator). ``src/flowmt/__init__.py`` is skipped: its imports are the
 package's re-exports.
+
+Every name in a package module's ``__all__`` must also exist in that module,
+so a deleted function cannot linger as an export that breaks
+``from flowmt.<module> import *``.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -18,6 +24,8 @@ MODULES = sorted(
     for path in [*(ROOT / "src" / "flowmt").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if path.name != "__init__.py"
 )
+
+PACKAGE = sorted((ROOT / "src" / "flowmt").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -61,3 +69,21 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def missing_exports(module) -> list[str]:
+    """Names in ``module.__all__`` that ``module`` does not define."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_export_check_flags_only_missing_names():
+    module = types.ModuleType("fake")
+    module.__all__ = ["kept", "deleted"]
+    module.kept = 1
+    assert missing_exports(module) == ["deleted"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_export_exists(path):
+    name = "flowmt" if path.name == "__init__.py" else f"flowmt.{path.stem}"
+    assert missing_exports(importlib.import_module(name)) == []

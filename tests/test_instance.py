@@ -213,8 +213,10 @@ class TestParsing:
             parse_instance("3 2\n1 2")
 
     def test_best_known_below_lower_bound_rejected(self):
-        with pytest.raises(ParameterError):
+        # the fourth header token is the best-known makespan
+        with pytest.raises(ParseError, match="below trivial lower bound 10") as err:
             parse_instance("1 2 5 3\n5\n5", fmt="taillard")
+        assert (err.value.line, err.value.column) == (1, 4)
 
 
 class TestGenerator:
