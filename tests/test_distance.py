@@ -45,6 +45,16 @@ class TestOptimalScaleShift:
             clamped += res.cos_theta <= 0.0
         assert 0 < clamped < 12  # both branches of the fit are checked
 
+    def test_constant_reference_rejected(self, fig2_matrix):
+        # a constant reference has no direction to scale: the fit rejects any
+        # scale (t* = 0) and keeps only the best shift, Q's mean
+        res = itdm(np.full((2, 2), 3.0), np.full((2, 2), 5.0))
+        assert (res.d, res.t_star, res.b_star) == (1.0, 0.0, 3.0)
+        res = itdm(fig2_matrix, ProblemMatrix(np.full((10, 5), 9)))
+        assert res.d == 1.0
+        assert res.t_star == 0.0
+        assert res.b_star == float(fig2_matrix.p.mean())
+
 
 class TestItdm:
     def test_self_distance_zero(self, fig2_matrix):
@@ -71,11 +81,6 @@ class TestItdm:
         res = itdm(ProblemMatrix(np.full((10, 5), 9)), fig2_matrix)
         assert res.d == 1.0
         assert res.t_star == 0.0
-        # a constant reference leaves no scale to fit: the best shift is Q's mean
-        res = itdm(fig2_matrix, ProblemMatrix(np.full((10, 5), 9)))
-        assert res.d == 1.0
-        assert res.t_star == 0.0
-        assert res.b_star == float(fig2_matrix.p.mean())
 
     def test_raw_formulation_agreement(self):
         # recompute d from the residual-based definition through sin/cos
