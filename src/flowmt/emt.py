@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .auxiliary import EatSpec, build_eat, check_pairing, critical_count
 from .errors import ConfigError, UnderfullPoolError
 from .instance import Instance, _makespans
-from .search import _draw_walk, _insert_best, _two_positions, _walk_minima
+from .search import _draw_walk, _insert_best, _position_pairs, _walk_minima
 from .transfer import default_key_values, perm_to_vector, project_to_eat, rov_decode
 
 __all__ = [
@@ -44,12 +44,12 @@ TASK_EXP = "EXP"
 TASK_EAT = "EAT"
 
 # A generation's INSERT walks are scored in batches of about this many packed
-# int32 cells (512 KB) per task. The batch kernel's cost per row levels off
-# at about a thousand rows of 100 jobs, which the cap still holds (1310 rows).
-# The cap bounds how long scoring runs past the wall-clock deadline: scored
-# only at the end of a generation, 2000-move walks at 100x20 overrun a 0.3 s
-# budget by about 0.3 s. It also bounds memory: uncapped, solve-ri-100x20
-# peaks at 42.8 MB instead of 42.0 MB.
+# int32 cells (512 KB) per task. At 100x20 the batch kernel costs about 63 µs
+# a row for one 51-row walk, 5.6 µs at 1000 rows, 5.0 µs at the cap's 1310
+# and 3.9 µs at twice that. The cap bounds how long scoring runs past the
+# wall-clock deadline: scored only at the end of a generation, 2000-move
+# walks at 100x20 overrun a 0.3 s budget by about 0.3 s. It also bounds
+# memory: uncapped, solve-ri-100x20 peaks at 42.8 MB instead of 42.0 MB.
 _WALK_BATCH_CELLS = 1 << 17
 
 # The fixed MFEA protocol (Gupta, Ong & Feng 2016) that every engine runs.
@@ -324,7 +324,7 @@ class Engine:
         length = len(pa)
         if length < 2:  # a one-gene genotype has nothing to cross; draws nothing
             return pa, pb
-        i, j = _two_positions(length, rng.getrandbits)
+        i, j = _position_pairs(length, 1, rng.getrandbits)
 
         def child(keep, fill_from):
             mid = keep[i : j + 1]
@@ -344,7 +344,7 @@ class Engine:
         if len(x) < 2:  # a one-gene genotype mutates to itself; draws nothing
             return x
         out = list(x)
-        i, j = _two_positions(len(out), rng.getrandbits)
+        i, j = _position_pairs(len(out), 1, rng.getrandbits)
         out[i], out[j] = out[j], out[i]
         return tuple(out)
 

@@ -275,7 +275,9 @@ def _check_new_algorithm(seen: dict, name: str) -> None:
 
 def config_items(text: str) -> Iterator[tuple[int, str, str]]:
     """(line number, key, value) per non-blank line of key=value text; '#'
-    starts a comment."""
+    starts a comment. Only ``instance`` and ``algorithm`` lines may repeat,
+    one value each; any other key given twice is rejected with both lines."""
+    first_line: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -284,6 +286,10 @@ def config_items(text: str) -> Iterator[tuple[int, str, str]]:
         key, value = key.strip(), value.strip()
         if not sep or not value:
             raise ConfigError(f"line {line_no}: expected key=value, got {raw!r}")
+        if key not in ("instance", "algorithm"):
+            if key in first_line:
+                raise ConfigError(f"line {line_no}: {key} is already set on line {first_line[key]}")
+            first_line[key] = line_no
         yield line_no, key, value
 
 
@@ -456,6 +462,13 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
     runs_path = out_dir / "runs.csv"
     done = {}
     if runs_path.exists():
+        # a row without its newline was cut by a crash: drop it, so its cell
+        # runs again and every appended row starts on a line of its own
+        journal = runs_path.read_bytes()
+        whole = journal.rfind(b"\n") + 1
+        if whole < len(journal):
+            with open(runs_path, "r+b") as fh:
+                fh.truncate(whole)
         done = {(r.algorithm, r.instance, r.run_index): r for r in read_runs_csv(runs_path)}
     pending = [
         (algo, engine, run_index, out_dir)

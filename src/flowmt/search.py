@@ -83,35 +83,47 @@ def neh(matrix: ProblemMatrix, priority: Sequence[int]) -> list[int]:
     return _insert_best(matrix, [[]], jobs, latest_ties=True)[0][0]
 
 
-def _two_positions(n: int, getrandbits) -> tuple[int, int]:
-    """Two distinct positions below ``n`` (``n >= 2``), in increasing order.
+def _position_pairs(n: int, count: int, getrandbits) -> list[int]:
+    """``count`` pairs of distinct positions below ``n`` (``n >= 2``), each in
+    increasing order, flat: ``[i0, j0, i1, j1, ...]``.
 
-    Makes exactly the ``getrandbits`` calls that ``random.sample`` makes for two
-    of ``range(n)`` on CPython 3.10-3.11, and returns that pair sorted. There,
-    ``_randbelow(n)`` redraws ``getrandbits(n.bit_length())`` while the value is
-    >= n. The first position is ``_randbelow(n)``. For n <= 21 ``sample`` picks
-    from a pool, where the first pick's slot now holds position n-1: the second
-    is ``_randbelow(n - 1)``, read as n-1 when it equals the first. Above 21 it
-    keeps a set and redraws ``_randbelow(n)`` until the value is new. Without
-    the wrapper calls this is several times faster than ``sample``; a test pins
+    Each pair makes exactly the ``getrandbits`` calls that ``random.sample``
+    makes for two of ``range(n)`` on CPython 3.10-3.11, and is that sample
+    sorted. There, ``_randbelow(n)`` redraws ``getrandbits(n.bit_length())``
+    while the value is >= n. The first position is ``_randbelow(n)``. For
+    n <= 21 ``sample`` picks from a pool, where the first pick's slot now holds
+    position n-1: the second is ``_randbelow(n - 1)``, read as n-1 when it
+    equals the first. Above 21 it keeps a set and redraws ``_randbelow(n)``
+    until the value is new. Without the wrapper calls, and with one loop for
+    all the pairs, this is several times faster than ``sample``; a test pins
     the stream against ``random.sample`` itself.
     """
     k = n.bit_length()
-    a = getrandbits(k)
-    while a >= n:
+    pool, last = n <= 21, n - 1
+    k_last = last.bit_length()
+    out = []
+    put = out.append
+    for _ in range(count):
         a = getrandbits(k)
-    if n <= 21:
-        k = (n - 1).bit_length()
-        b = getrandbits(k)
-        while b >= n - 1:
+        while a >= n:
+            a = getrandbits(k)
+        if pool:
+            b = getrandbits(k_last)
+            while b >= last:
+                b = getrandbits(k_last)
+            if b == a:
+                b = last
+        else:
             b = getrandbits(k)
-        if b == a:
-            b = n - 1
-    else:
-        b = getrandbits(k)
-        while b >= n or b == a:
-            b = getrandbits(k)
-    return (a, b) if a < b else (b, a)
+            while b >= n or b == a:
+                b = getrandbits(k)
+        if a < b:
+            put(a)
+            put(b)
+        else:
+            put(b)
+            put(a)
+    return out
 
 
 def _draw_walk(perm: Sequence[int], iterations: int, rng) -> array:
@@ -126,11 +138,13 @@ def _draw_walk(perm: Sequence[int], iterations: int, rng) -> array:
     cur = array("i", perm)
     rows = array("i", cur)
     n = len(cur)
-    getrandbits = rng.getrandbits
-    for _ in range(iterations if n > 1 else 0):
-        i, j = _two_positions(n, getrandbits)
-        cur.insert(i, cur.pop(j))
-        rows.extend(cur)
+    if n < 2:
+        return rows
+    pairs = iter(_position_pairs(n, iterations, rng.getrandbits))
+    pop, insert, extend = cur.pop, cur.insert, rows.extend
+    for i, j in zip(pairs, pairs):
+        insert(i, pop(j))
+        extend(cur)
     return rows
 
 

@@ -209,7 +209,7 @@ def test_experiment_without_cells_fails_before_any_output(tmp_path, fig2_file, c
 @pytest.mark.parametrize("bad_line", ["ratios=20,x", "seed=abc", "measures=lsp,foo", "ratios=5"])
 def test_distance_sweep_bad_number_names_line(tmp_path, fig2_file, capsys, bad_line):
     config = tmp_path / "sweep.cfg"
-    config.write_text(f"instance={fig2_file}\nmeasures=lsp\n{bad_line}\n")
+    config.write_text(f"instance={fig2_file}\nout=sweep.csv\n{bad_line}\n")
     assert main(["distance-sweep", str(config)]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err and bad_line.split("=")[0] in err
@@ -235,6 +235,32 @@ def test_distance_sweep_empty_or_repeated_list_names_line(
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_experiment_repeated_key_names_both_lines(tmp_path, fig2_file, capsys):
+    # the later line used to replace the earlier one: this ran 3 runs and exited 0
+    config = tmp_path / "campaign.cfg"
+    config.write_text(
+        "instance=fig2.txt\n"
+        "algorithm=P-MFEA/LSP-20/IK\n"
+        "runs=1\n"
+        "max_generations=1\n"
+        "population=6\n"
+        "runs=3\n"
+        "out_dir=results\n"
+    )
+    assert main(["experiment", str(config)]) == 2
+    assert "line 6: runs is already set on line 3" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+def test_distance_sweep_repeated_key_names_both_lines(tmp_path, fig2_file, capsys):
+    # the later line used to replace the earlier one: this wrote only the lst rows
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"instance={fig2_file}\nmeasures=lsp\nratios=20\nmeasures=lst\nout=sweep.csv\n")
+    assert main(["distance-sweep", str(config)]) == 2
+    assert "line 4: measures is already set on line 2" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize(
     "bad_line, message",
     [
@@ -254,7 +280,7 @@ def test_pairing_rules_give_one_message(
         build_eat(fig2_matrix, measure, ratio)
     assert str(pairing.value) == str(eat.value) == message
     config = tmp_path / "sweep.cfg"
-    config.write_text(f"instance={fig2_file}\nmeasures=lsp\n{bad_line}\n")
+    config.write_text(f"instance={fig2_file}\nout=sweep.csv\n{bad_line}\n")
     assert main(["distance-sweep", str(config)]) == 2
     err = capsys.readouterr().err
     assert f"line 3: bad value for {bad_line.split('=')[0]}: {message}" in err
@@ -327,7 +353,7 @@ def test_experiment_bad_engine_value_names_line_before_running(tmp_path, capsys,
     config.write_text(
         "instance=i0.txt\n"
         "algorithm=MFEA-I/LSP-50/IK\n"
-        "max_generations=1\npopulation=6\nls_intensity=1\n"
+        "max_generations=1\nruns=1\nbase_seed=1\n"
         f"{bad_line}\n"
         "out_dir=out\n"
     )

@@ -176,7 +176,7 @@ class TestCampaignConfigParsing:
     def test_bad_engine_value_line_named(self, bad_line, rule):
         # each cell's EngineConfig would reject an engine value only once the
         # output existed, and a parallelism below 1 would run cells serially
-        text = f"algorithm=MFEA-I/LSP-50/IK\nmax_generations=2\n{bad_line}\nruns=1\n"
+        text = f"algorithm=MFEA-I/LSP-50/IK\nbase_seed=7\n{bad_line}\nruns=1\n"
         with pytest.raises(ConfigError, match=f"line 3: {rule}"):
             parse_campaign_config(text)
         key, value = bad_line.split("=")
@@ -264,14 +264,18 @@ class TestRunCampaign:
         for rec in records:
             assert rec.makespan >= bounds[rec.instance]
 
-    def test_reruns_byte_identical(self, campaign_dir):
+    def test_reruns_byte_identical(self, campaign_dir, monkeypatch):
         config = small_config(campaign_dir)
         run_campaign(config)
         out = campaign_dir / "out"
         first = {p.name: p.read_bytes() for p in out.rglob("*.csv")}
+        calls = []
+        real_run = Engine.run
+        monkeypatch.setattr(Engine, "run", lambda self: calls.append(1) or real_run(self))
         run_campaign(small_config(campaign_dir))
         second = {p.name: p.read_bytes() for p in out.rglob("*.csv")}
         assert first == second
+        assert calls == []  # every cell was journaled, so the resume runs none
 
     def test_resume_after_partial_loss(self, campaign_dir):
         config = small_config(campaign_dir)
@@ -282,6 +286,37 @@ class TestRunCampaign:
         runs_csv.write_text("\n".join(lines[:1 + len(lines) // 2]) + "\n")
         run_campaign(small_config(campaign_dir))
         assert runs_csv.read_bytes() == pristine
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda rows: rows[0] + rows[1] + rows[2] + rows[3][: rows[3].index("traces/") + 22],
+            lambda rows: rows[0] + rows[1] + rows[2] + rows[3].rstrip("\n"),
+            lambda rows: rows[0][:9],
+        ],
+        ids=["inside-trace-path", "before-newline", "inside-header"],
+    )
+    def test_resume_redoes_a_torn_last_row(self, campaign_dir, monkeypatch, cut):
+        # a crash mid-write leaves the journal's last row without its newline;
+        # trusted, the torn row named a trace file that does not exist
+        config = small_config(campaign_dir, instances=["inst0.txt"],
+                              algorithms=["P-MFEA/LSP-20/IK"], runs=4)
+        run_campaign(config)
+        out = campaign_dir / "out"
+        pristine = {p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")}
+        runs_csv = out / "runs.csv"
+        rows = runs_csv.read_bytes().decode().splitlines(keepends=True)
+        torn = cut(rows)
+        runs_csv.write_bytes(torn.encode())
+        whole = torn.count("\n") - 1  # finished rows left in the journal
+
+        calls = []
+        real_run = Engine.run
+        monkeypatch.setattr(Engine, "run", lambda self: calls.append(1) or real_run(self))
+        records, _ = run_campaign(config)
+        assert len(calls) == 4 - max(whole, 0)
+        assert all((out / r.trace_path).is_file() for r in records)
+        assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")} == pristine
 
     def test_empty_instance_list(self, campaign_dir):
         # a campaign of no cells is a config mistake, not header-only CSVs

@@ -123,6 +123,28 @@ class TestBatchMakespans:
         mat = random_matrix(rng, 7, 4, low=10**12, high=10**12 + 999)
         self._check(mat, [rng.sample(range(1, 8), 7) for _ in range(4)])
 
+    def test_int32_and_int64_sides_of_the_sum_limit(self):
+        # the kernel runs in int32 while the sum of all times fits in it; at
+        # exactly 2**31 - 1 a one-machine schedule ends at that sum, and one
+        # more unit, or 2x2 times near 2**30, give makespans past int32
+        limit = 2**31 - 1
+        rng = Random(8)
+        for total in (limit, limit + 1, 2 * limit):
+            for _ in range(10):
+                n, m = rng.randint(1, 5), rng.randint(1, 4)
+                p = np.array(random_matrix(rng, n, m).p)
+                p[rng.randrange(n), rng.randrange(m)] += total - int(p.sum())
+                mat = ProblemMatrix(p)
+                for size in (n, rng.randint(1, n)):  # whole and partial sequences
+                    self._check(mat, [rng.sample(range(1, n + 1), size) for _ in range(3)])
+            column = ProblemMatrix(np.array([[total - 3], [1], [2]]))
+            self._check(column, [[1, 2, 3], [3, 1, 2]])
+            self._check(column, [[2, 1], [1, 3]])
+        near = ProblemMatrix(np.array([[2**30, 2**30 - 1], [2**30 - 2, 2**30]]))
+        self._check(near, [[1, 2], [2, 1]])
+        self._check(near, [[1], [2]])
+        assert _makespans(near.p, [[1, 2]]).tolist() == [3 * 2**30 - 1]
+
     def test_packed_int32_rows(self):
         # the engine hands over its walks as packed int32 cells
         rng = Random(5)

@@ -6,7 +6,7 @@ import pytest
 
 from flowmt.errors import InvalidPermutationError, ParameterError
 from flowmt.instance import ProblemMatrix, makespan
-from flowmt.search import _draw_walk, _insert_best, _two_positions, _walk_minima, neh, solve_eat
+from flowmt.search import _draw_walk, _insert_best, _position_pairs, _walk_minima, neh, solve_eat
 
 from conftest import random_matrix
 from oracles import brute_force_optimum, dp_makespan, neh_reference
@@ -251,15 +251,19 @@ class TestInsertLocalSearch:
 
 
 class TestTwoPositions:
-    # The kernel replays CPython's random.sample draw for draw, so the oracle is
-    # random.sample itself: a Python that draws a sample differently fails here.
+    # The pair routine replays CPython's random.sample draw for draw, so the
+    # oracle is random.sample itself: a Python that draws a sample differently
+    # fails here. A count of 1 is what the crossover and swap mutation draw, 50
+    # a default INSERT walk.
     @pytest.mark.parametrize("n", [*range(2, 26), 50, 200])
     def test_matches_random_sample(self, n):
-        rng, twin = Random(n), Random(n)
-        getrandbits = twin.getrandbits
-        for _ in range(2000):
-            assert _two_positions(n, getrandbits) == tuple(sorted(rng.sample(range(n), 2)))
-        assert rng.getstate() == twin.getstate()
+        for count in (1, 50):
+            rng, twin = Random(n), Random(n)
+            getrandbits = twin.getrandbits
+            for _ in range(2000 // count):
+                expected = [pos for _ in range(count) for pos in sorted(rng.sample(range(n), 2))]
+                assert _position_pairs(n, count, getrandbits) == expected
+            assert rng.getstate() == twin.getstate()
 
 
 class TestSolveEat:
