@@ -12,18 +12,17 @@ import sys
 from pathlib import Path
 from random import Random
 
-from .auxiliary import MEASURES, build_eat, check_pairing, importance_scores
+from .auxiliary import MEASURES, build_eat, importance_scores
 from .distance import itdm
-from .errors import ConfigError, FlowmtError, ParameterError
+from .errors import ConfigError, FlowmtError
 from .harness import (
     build_engine,
-    config_items,
     distance_sweep,
     group_metrics,
     load_instance_file,
-    load_instance_files,
     parse_algorithm,
     parse_campaign_config,
+    parse_sweep_config,
     read_runs_csv,
     relative_error,
     run_campaign,
@@ -187,51 +186,9 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _check_sweep_list(line_no: int, key: str, values: list) -> None:
-    """A sweep's measures or ratios: at least one, none twice, or the sweep
-    would write no rows or repeat some."""
-    if not values:
-        raise ConfigError(f"line {line_no}: {key} lists no value")
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(f"line {line_no}: {key} lists {value!r} twice")
-
-
-def _parse_sweep_config(text: str, base_dir: Path):
-    paths, measures, ratios, seed, out = [], list(MEASURES), None, 0, "distances.csv"
-    for line_no, key, value in config_items(text):
-        if key == "instance":
-            paths.append(value)
-        elif key in ("measures", "ratios", "seed"):
-            tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
-            try:
-                if key == "measures":
-                    measures = [check_pairing(tok) for tok in tokens]
-                elif key == "ratios":
-                    ratios = [int(tok) for tok in tokens]
-                    for k in ratios:
-                        check_pairing(k=k)
-                else:
-                    seed = int(value)
-            except ParameterError as exc:
-                raise ConfigError(f"line {line_no}: bad value for {key}: {exc}") from None
-            except ValueError:
-                raise ConfigError(f"line {line_no}: bad value for {key}: {value!r}") from None
-            if key != "seed":
-                _check_sweep_list(line_no, key, measures if key == "measures" else ratios)
-        elif key == "out":
-            out = value
-        else:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
-    if ratios is None:
-        ratios = list(range(10, 100, 10))
-    instances = list(load_instance_files(paths, base_dir).values())
-    return instances, measures, ratios, seed, base_dir / out
-
-
 def _cmd_distance_sweep(args) -> int:
     path = Path(args.config)
-    instances, measures, ratios, seed, out = _parse_sweep_config(path.read_text(), path.parent)
+    instances, measures, ratios, seed, out = parse_sweep_config(path.read_text(), path.parent)
     rows = distance_sweep(instances, measures, ratios, seed=seed)
     write_sweep_csv(out, rows)
     print(f"wrote {len(rows)} rows to {out}")

@@ -23,9 +23,9 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from random import Random
-from typing import Iterator, TextIO
+from typing import TextIO
 
-from .auxiliary import build_eat, check_pairing, importance_scores
+from .auxiliary import MEASURES, build_eat, check_pairing, importance_scores
 from .distance import cos_theta_lower_bound, itdm, zero_pad
 from .emt import Engine, EngineConfig, ImpTsk, RndTsk, TaskPair
 from .errors import ConfigError, FlowmtError, ParameterError, ParseError
@@ -41,21 +41,11 @@ __all__ = [
     "parse_algorithm",
     "build_engine",
     "parse_campaign_config",
+    "parse_sweep_config",
     "run_campaign",
     "distance_sweep",
 ]
 
-RUNS_HEADER = [
-    "algorithm",
-    "instance",
-    "run",
-    "seed",
-    "makespan",
-    "re",
-    "re_basis",
-    "elapsed_s",
-    "trace",
-]
 METRICS_HEADER = ["algorithm", "instance", "are", "bre", "wre"]
 TRACE_HEADER = ["elapsed_s", "generation", "best_makespan"]
 SWEEP_HEADER = ["instance", "measure", "ratio", "d", "cos_theta", "bound"]
@@ -72,6 +62,26 @@ class RunRecord:
     trace_path: str = ""
     re: float | None = None
     re_basis: str = ""
+
+
+def _same(value):
+    return value
+
+
+# (column, RunRecord field, write, read) for each runs.csv column
+_RUNS_COLUMNS = (
+    ("algorithm", "algorithm", _same, _same),
+    ("instance", "instance", _same, _same),
+    ("run", "run_index", str, int),
+    ("seed", "seed", str, int),
+    ("makespan", "makespan", str, int),
+    ("re", "re",
+     lambda re: "" if re is None else f"{re:.6f}", lambda cell: float(cell) if cell else None),
+    ("re_basis", "re_basis", _same, _same),
+    ("elapsed_s", "elapsed_s", "{:.6f}".format, float),
+    ("trace", "trace_path", _same, _same),
+)
+RUNS_HEADER = [column for column, _, _, _ in _RUNS_COLUMNS]
 
 
 @dataclass
@@ -173,10 +183,12 @@ _ENGINES = {"mfea-i": "realkey", "p-mfea": "perm"}
 
 
 def parse_algorithm(name: str) -> AlgorithmSpec:
-    parts = name.split("/")
-    if len(parts) != 3:
+    # only the first and the last '/' split: a random pairing's file may sit in a subdirectory
+    engine, _, rest = name.partition("/")
+    pairing, sep_last, transfer = rest.rpartition("/")
+    if not sep_last:
         raise ConfigError(f"algorithm {name!r} is not ENGINE/PAIRING/TRANSFER")
-    engine, pairing, transfer = (p.strip() for p in parts)
+    engine, pairing, transfer = engine.strip(), pairing.strip(), transfer.strip()
     enc = _ENGINES.get(engine.lower())
     if enc is None:
         raise ConfigError(f"unknown engine {engine!r} (use MFEA-I or P-MFEA)")
@@ -229,8 +241,42 @@ def build_engine(
 
 
 # ---------------------------------------------------------------------------
-# Campaign configuration: flat key=value text, repeated instance=/algorithm=.
+# Campaign and sweep configuration: flat key=value text, one reader.
 # ---------------------------------------------------------------------------
+
+
+_REPEATED = ("instance", "algorithm")
+
+
+def _read_config(text: str, fields: dict) -> dict:
+    """Each value of key=value text converted by ``fields[key]``, its errors
+    named with the line; '#' starts a comment. Only ``instance`` and
+    ``algorithm`` repeat, into lists; any other key twice names both lines."""
+    values = {key: [] for key in _REPEATED if key in fields}
+    first_line: dict = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not value:
+            raise ConfigError(f"line {line_no}: expected key=value, got {raw!r}")
+        if key not in fields:
+            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        if key in first_line and key not in _REPEATED:
+            raise ConfigError(f"line {line_no}: {key} is already set on line {first_line[key]}")
+        first_line.setdefault(key, line_no)
+        try:
+            converted = fields[key](value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+        except ParameterError as exc:
+            raise ConfigError(f"line {line_no}: bad value for {key}: {exc}") from None
+        except ValueError:
+            raise ConfigError(f"line {line_no}: bad value for {key}: {value!r}") from None
+        values[key] = values[key] + [converted] if key in _REPEATED else converted
+    return values
 
 
 @dataclass
@@ -264,72 +310,72 @@ class CampaignConfig:
             _check_new_algorithm(seen, name)
 
 
-def _check_new_algorithm(seen: dict, name: str) -> None:
+def _check_new_algorithm(seen: dict, name: str) -> str:
     """Parse ``name`` and record it in ``seen``; an algorithm listed twice,
     under any spelling, would run the same cells twice."""
     spec = replace(parse_algorithm(name), name="")
     if spec in seen:
         raise ConfigError(f"algorithm {name!r} is already listed as {seen[spec]!r}")
     seen[spec] = name
-
-
-def config_items(text: str) -> Iterator[tuple[int, str, str]]:
-    """(line number, key, value) per non-blank line of key=value text; '#'
-    starts a comment. Only ``instance`` and ``algorithm`` lines may repeat,
-    one value each; any other key given twice is rejected with both lines."""
-    first_line: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not value:
-            raise ConfigError(f"line {line_no}: expected key=value, got {raw!r}")
-        if key not in ("instance", "algorithm"):
-            if key in first_line:
-                raise ConfigError(f"line {line_no}: {key} is already set on line {first_line[key]}")
-            first_line[key] = line_no
-        yield line_no, key, value
+    return name
 
 
 def parse_campaign_config(text: str, base_dir: str | Path = ".") -> CampaignConfig:
     """The campaign that ``key=value`` text describes. Every value is checked
     by CampaignConfig on its own line, so a bad one is named before any output
     exists."""
-    kwargs: dict = {"instances": [], "algorithms": [], "base_dir": str(base_dir)}
-    seen: dict = {}
     probe = CampaignConfig(max_generations=0)
-    scalars = {
-        "runs": int,
-        "base_seed": int,
-        "budget_factor": float,
-        "max_generations": int,
-        "population": int,
-        "ls_intensity": int,
-        "parallelism": int,
-        "out_dir": str,
-    }
-    for line_no, key, value in config_items(text):
-        if key == "instance":
-            kwargs["instances"].append(value)
-        elif key == "algorithm":
-            try:
-                _check_new_algorithm(seen, value)
-            except ConfigError as exc:
-                raise ConfigError(f"line {line_no}: {exc}") from None
-            kwargs["algorithms"].append(value)
-        elif key in scalars:
-            try:
-                kwargs[key] = scalars[key](value)
-                probe = replace(probe, **{key: kwargs[key]})
-            except ConfigError as exc:
-                raise ConfigError(f"line {line_no}: {exc}") from None
-            except ValueError:
-                raise ConfigError(f"line {line_no}: bad value for {key}: {value!r}") from None
-        else:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
-    return CampaignConfig(**kwargs)
+    seen: dict = {}
+
+    def checked(key: str, convert):
+        # each value alone; budget_factor's ties to max_generations wait for the end
+        return lambda text: getattr(replace(probe, **{key: convert(text)}), key)
+
+    ints = ("runs", "base_seed", "max_generations", "population", "ls_intensity", "parallelism")
+    fields = {key: checked(key, int) for key in ints}
+    fields.update(
+        budget_factor=checked("budget_factor", float), out_dir=checked("out_dir", str),
+        instance=str, algorithm=lambda name: _check_new_algorithm(seen, name),
+    )
+    values = _read_config(text, fields)
+    return CampaignConfig(instances=values.pop("instance"), algorithms=values.pop("algorithm"),
+                          base_dir=str(base_dir), **values)
+
+
+def _value_list(key: str, convert, check=_same):
+    """Reads a sweep's comma-separated measures or ratios: converts every
+    token, then checks each value. The list needs a value and none twice, or
+    the sweep would write no rows or repeat some."""
+    def read(text: str) -> list:
+        values = [convert(tok.strip()) for tok in text.split(",") if tok.strip()]
+        for value in values:  # after every conversion, so 'ratios=20,x' names the whole value
+            check(value)
+        if not values:
+            raise ConfigError(f"{key} lists no value")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"{key} lists {value!r} twice")
+        return values
+    return read
+
+
+def parse_sweep_config(text: str, base_dir: str | Path = ".") -> tuple:
+    """(instances, measures, ratios, seed, output path) of a distance sweep's
+    ``key=value`` text; every measure and ratio by default."""
+    values = _read_config(text, {
+        "instance": str,
+        "measures": _value_list("measures", check_pairing),
+        "ratios": _value_list("ratios", int, lambda k: check_pairing(k=k)),
+        "seed": int,
+        "out": str,
+    })
+    return (
+        list(load_instance_files(values["instance"], base_dir).values()),
+        values.get("measures", list(MEASURES)),
+        values.get("ratios", list(range(10, 100, 10))),
+        values.get("seed", 0),
+        Path(base_dir) / values.get("out", "distances.csv"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -382,38 +428,17 @@ def read_runs_csv(path: str | Path) -> list[RunRecord]:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
-                records.append(
-                    RunRecord(
-                        algorithm=row["algorithm"],
-                        instance=row["instance"],
-                        run_index=int(row["run"]),
-                        seed=int(row["seed"]),
-                        makespan=int(row["makespan"]),
-                        elapsed_s=float(row["elapsed_s"]),
-                        trace_path=row["trace"],
-                        re=float(row["re"]) if row["re"] else None,
-                        re_basis=row["re_basis"],
-                    )
-                )
+                cells = {name: read(row[column]) for column, name, _, read in _RUNS_COLUMNS}
             except (KeyError, TypeError, ValueError):
                 raise ConfigError(
                     f"{path}: line {reader.line_num} is not a finished run record"
                 ) from None
+            records.append(RunRecord(**cells))
     return records
 
 
 def _runs_row(r: RunRecord) -> list:
-    return [
-        r.algorithm,
-        r.instance,
-        r.run_index,
-        r.seed,
-        r.makespan,
-        "" if r.re is None else f"{r.re:.6f}",
-        r.re_basis,
-        f"{r.elapsed_s:.6f}",
-        r.trace_path,
-    ]
+    return [write(getattr(r, name)) for _, name, write, _ in _RUNS_COLUMNS]
 
 
 def _write_runs_csv(path: Path, records: list[RunRecord]) -> None:
@@ -443,10 +468,17 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
     instances = load_instance_files(config.instances, base)
 
     # every cell's engine is built, and so checked, before any output exists
-    engines = {}
+    engines, trace_owner = {}, {}
     for algo in config.algorithms:
         spec = parse_algorithm(algo)
         for name, inst in instances.items():
+            # two cells' paths differ in every run if they differ in run 0
+            trace = _cell_trace_path(algo, name, 0)
+            owner = trace_owner.setdefault(trace, algo)
+            if owner != algo:
+                raise ConfigError(
+                    f"algorithms {owner!r} and {algo!r} would write the same trace file {trace}"
+                )
             try:
                 pair = spec.make_pair(inst, base)
                 for run_index in range(config.runs):

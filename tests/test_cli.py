@@ -235,30 +235,48 @@ def test_distance_sweep_empty_or_repeated_list_names_line(
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_experiment_repeated_key_names_both_lines(tmp_path, fig2_file, capsys):
-    # the later line used to replace the earlier one: this ran 3 runs and exited 0
-    config = tmp_path / "campaign.cfg"
-    config.write_text(
-        "instance=fig2.txt\n"
-        "algorithm=P-MFEA/LSP-20/IK\n"
-        "runs=1\n"
-        "max_generations=1\n"
-        "population=6\n"
-        "runs=3\n"
-        "out_dir=results\n"
-    )
-    assert main(["experiment", str(config)]) == 2
-    assert "line 6: runs is already set on line 3" in capsys.readouterr().err
-    assert not (tmp_path / "results").exists()
+# Valid lines around the bad one: line 6 of a campaign config, line 4 of a sweep config
+_CONFIGS = {
+    "campaign": (
+        "experiment",
+        "instance=fig2.txt\nalgorithm=P-MFEA/LSP-20/IK\nruns=1\nmax_generations=1\npopulation=6\n"
+        "{bad}\nout_dir=out\n",
+    ),
+    "sweep": (
+        "distance-sweep", "instance=fig2.txt\nmeasures=lsp\nratios=20\n{bad}\nseed=1\nout=out\n",
+    ),
+}
 
 
-def test_distance_sweep_repeated_key_names_both_lines(tmp_path, fig2_file, capsys):
-    # the later line used to replace the earlier one: this wrote only the lst rows
-    config = tmp_path / "sweep.cfg"
-    config.write_text(f"instance={fig2_file}\nmeasures=lsp\nratios=20\nmeasures=lst\nout=sweep.csv\n")
-    assert main(["distance-sweep", str(config)]) == 2
-    assert "line 4: measures is already set on line 2" in capsys.readouterr().err
-    assert not (tmp_path / "sweep.csv").exists()
+@pytest.mark.parametrize(
+    "fmt, bad_line, message",
+    [
+        ("campaign", "runs=3", "line 6: runs is already set on line 3"),
+        ("sweep", "measures=lst", "line 4: measures is already set on line 2"),
+        ("campaign", "bogus=1", "line 6: unknown key 'bogus'"),
+        ("sweep", "bogus=1", "line 4: unknown key 'bogus'"),
+        ("sweep", "algorithm=MFEA-I/LSP-20/IK", "line 4: unknown key 'algorithm'"),
+        ("campaign", "runs 3", "line 6: expected key=value, got 'runs 3'"),
+        ("sweep", "seed", "line 4: expected key=value, got 'seed'"),
+        ("campaign", "ls_intensity=six", "line 6: bad value for ls_intensity: 'six'"),
+        ("sweep", "seed=abc", "line 4: bad value for seed: 'abc'"),
+    ],
+    ids=[
+        "campaign-repeated-key", "sweep-repeated-key", "campaign-unknown-key", "sweep-unknown-key",
+        "sweep-algorithm-key", "campaign-no-equals", "sweep-no-equals", "campaign-bad-number",
+        "sweep-bad-number",
+    ],
+)
+def test_config_line_rejected_before_any_output(
+    tmp_path, fig2_file, capsys, fmt, bad_line, message
+):
+    # both formats are read by one reader, which names the line
+    command, text = _CONFIGS[fmt]
+    config = tmp_path / "x.cfg"
+    config.write_text(text.format(bad=bad_line))
+    assert main([command, str(config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -285,6 +303,53 @@ def test_pairing_rules_give_one_message(
     err = capsys.readouterr().err
     assert f"line 3: bad value for {bad_line.split('=')[0]}: {message}" in err
     assert bad_line.split("=")[1] not in err  # the bad token, not the whole list
+
+
+def _write_aux(path):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(write_instance(Instance(random_matrix(Random(33), 4, 5), name="aux")))
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+def test_random_pairing_file_in_subdirectory(tmp_path, fig2_file, capsys, command):
+    # only the first and the last '/' of an algorithm name separate its parts
+    _write_aux(tmp_path / "sub" / "aux.txt")
+    if command == "solve":
+        argv = [
+            "solve", str(fig2_file), "--pairing", "rndtsk2:sub/aux.txt", "--transfer", "ik",
+            "--generations", "2", "--pop", "6", "--ls", "2", "--trace-out", str(tmp_path / "t.csv"),
+        ]
+    else:
+        config = tmp_path / "campaign.cfg"
+        config.write_text(
+            "instance=fig2.txt\nalgorithm=MFEA-I/RndTsk2:sub/aux.txt/IK\n"
+            "max_generations=2\npopulation=6\nls_intensity=2\nout_dir=out\n"
+        )
+        argv = ["experiment", str(config)]
+    assert main(argv) == 0, capsys.readouterr().err
+    if command == "experiment":
+        (record,) = read_runs_csv(tmp_path / "out" / "runs.csv")
+        assert record.algorithm == "MFEA-I/RndTsk2:sub/aux.txt/IK"
+        assert (tmp_path / "out" / record.trace_path).exists()
+
+
+@pytest.mark.parametrize("first, second", [("a b.txt", "a_b.txt"), ("sub/aux.txt", "sub_aux.txt")])
+def test_algorithms_sharing_a_trace_file_fail_before_any_output(
+    tmp_path, fig2_file, capsys, first, second
+):
+    # the trace file name maps every character but [A-Za-z0-9-_.] to '_'
+    for name in (first, second):
+        _write_aux(tmp_path / name)
+    config = tmp_path / "campaign.cfg"
+    config.write_text(
+        f"instance=fig2.txt\nalgorithm=MFEA-I/RndTsk2:{first}/IK\n"
+        f"algorithm=MFEA-I/RndTsk2:{second}/IK\n"
+        "max_generations=1\npopulation=6\nls_intensity=1\nout_dir=out\n"
+    )
+    assert main(["experiment", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"algorithms 'MFEA-I/RndTsk2:{first}/IK' and 'MFEA-I/RndTsk2:{second}/IK'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_ri_on_random_pairing_fails_before_any_cell(tmp_path, fig2_file, capsys):

@@ -6,10 +6,12 @@ fails here. The cases and digests live in ``perfbench/golden.py`` and
 ``perfbench/golden.json``.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
 import flowmt
+from flowmt import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -37,3 +39,38 @@ def test_realkey_ri_100x20_digest_matches():
     result = flowmt.Engine(flowmt.TaskPair(inst, flowmt.ImpTsk("lsp", 20)), config).run()
     assert result.best_makespan == 6655
     assert golden.digest(result) == RI_100X20_DIGEST
+
+
+# Every file a small campaign, its resume and a distance sweep write through
+# the CLI: runs.csv, metrics.csv, the traces and the sweep CSV. The campaign
+# pairs one algorithm by importance (RI) and one by a random auxiliary file (IK).
+# Its digest was recorded with the two per-format config readers and the
+# field-by-field runs.csv reader and writer that came before the shared ones.
+CLI_FILES_DIGEST = "63eac917c5a11cc93bbf19164bdf635e4d210b3ba9a2ee687a62221080cb3b6f"
+
+
+def test_cli_campaign_and_sweep_digest_matches(tmp_path):
+    for name, (n, m, seed) in {"exp": (20, 5, 873654221), "aux": (10, 5, 1401007982)}.items():
+        inst = flowmt.generate_taillard(n, m, seed)
+        (tmp_path / f"{name}.txt").write_text(flowmt.write_instance(inst))
+    campaign, sweep = tmp_path / "campaign.cfg", tmp_path / "sweep.cfg"
+    campaign.write_text(
+        "instance=exp.txt\nalgorithm=MFEA-I/LSP-20/RI\nalgorithm=P-MFEA/RndTsk2:aux.txt/IK\n"
+        "runs=2\nbase_seed=3\nmax_generations=3\npopulation=10\nls_intensity=5\nout_dir=out\n"
+    )
+    sweep.write_text("instance=exp.txt\nmeasures=lsp,kk2,rnd\nratios=20,50\nseed=3\nout=sweep.csv\n")
+
+    def files():
+        paths = tmp_path.rglob("*.csv")
+        return {p.relative_to(tmp_path).as_posix(): p.read_bytes() for p in paths}
+
+    assert cli.main(["experiment", str(campaign)]) == 0
+    first = files()
+    assert cli.main(["experiment", str(campaign)]) == 0  # resumes over a finished journal
+    assert files() == first
+    assert cli.main(["distance-sweep", str(sweep)]) == 0
+    digest = hashlib.sha256()
+    for name, data in sorted(files().items()):
+        digest.update(name.encode() + b"\0" + data)
+    assert len(first) == 6  # runs.csv, metrics.csv and four traces
+    assert digest.hexdigest() == CLI_FILES_DIGEST
