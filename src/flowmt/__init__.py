@@ -12,7 +12,6 @@ from .emt import (
     RunResult,
     TaskPair,
     TracePoint,
-    run,
 )
 from .errors import FlowmtError
 from .harness import (

@@ -157,7 +157,18 @@ def _cmd_patch(args) -> int:
     return 0
 
 
+def _check_out_path(path: str | Path) -> None:
+    """Reject an output path that cannot be created, before any work is done."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"output path {path} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"output path {path}: directory {path.parent} does not exist")
+
+
 def _cmd_solve(args) -> int:
+    trace_path = args.trace_out or f"{Path(args.instance).stem}_trace.csv"
+    _check_out_path(trace_path)
     inst = load_instance_file(args.instance)
     algo = parse_algorithm(f"{'MFEA-I' if args.encoding == 'realkey' else 'P-MFEA'}"
                            f"/{args.pairing}/{args.transfer}")
@@ -171,7 +182,6 @@ def _cmd_solve(args) -> int:
     if inst.best_known is not None:
         print(f"re = {relative_error(result.best_makespan, inst.best_known):.4f}")
     print("permutation =", " ".join(str(j) for j in result.best_perm))
-    trace_path = args.trace_out or f"{Path(args.instance).stem}_trace.csv"
     write_trace_csv(trace_path, result.trace)
     print("trace =", trace_path)
     return 0
@@ -189,6 +199,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_distance_sweep(args) -> int:
     path = Path(args.config)
     instances, measures, ratios, seed, out = parse_sweep_config(path.read_text(), path.parent)
+    _check_out_path(out)
     rows = distance_sweep(instances, measures, ratios, seed=seed)
     write_sweep_csv(out, rows)
     print(f"wrote {len(rows)} rows to {out}")
@@ -223,10 +234,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FlowmtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FlowmtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,7 +37,6 @@ __all__ = [
     "TracePoint",
     "RunResult",
     "Engine",
-    "run",
 ]
 
 TASK_EXP = "EXP"
@@ -149,9 +148,7 @@ class Individual:
     genotype: tuple
     skill: str
     objectives: dict = field(default_factory=dict)
-    birth: int = 0
     uid: int = 0
-    fitness: float = 0.0
 
 
 class TracePoint(NamedTuple):
@@ -176,7 +173,8 @@ def _past(deadline: float | None) -> bool:
 
 
 def _rank_key(task: str):
-    return lambda ind: (ind.objectives[task], ind.birth, ind.uid)
+    """Rank order on one task: lowest objective, then first created (lowest uid)."""
+    return lambda ind: (ind.objectives[task], ind.uid)
 
 
 class Engine:
@@ -190,7 +188,7 @@ class Engine:
                 "patched-solution transfer needs an auxiliary task drawn from the "
                 "expensive task's own jobs"
             )
-        self.aux: EatSpec | Instance | None = None  # resolved when the run starts
+        self.aux: EatSpec | Instance | None = None  # set by resolve, which initialize calls
         self._uid = 0
         # the encoding's operators; the decoder is looked up per engine, so a
         # wrapper installed on ``emt.rov_decode`` sees its calls
@@ -244,9 +242,9 @@ class Engine:
 
     def initialize(self, rng: Random) -> list[Individual]:
         """Uniform random population; everyone is scored on both tasks once and
-        adopts the task where it ranks better (ties favor the expensive task)."""
-        if self.aux is None:
-            self.resolve(rng)
+        adopts the task where it ranks better (ties favor the expensive task).
+        The auxiliary task is resolved first, from the same ``rng``."""
+        self.resolve(rng)
         random = rng.random
         pop = []
         for _ in range(self.config.population):
@@ -348,7 +346,7 @@ class Engine:
         out[i], out[j] = out[j], out[i]
         return tuple(out)
 
-    def mate(self, pa: Individual, pb: Individual, rng: Random, birth: int = 0):
+    def mate(self, pa: Individual, pb: Individual, rng: Random):
         """Assortative mating with skill inheritance; returns two offspring."""
         same_skill = pa.skill == pb.skill
         if same_skill or rng.random() < _RMP:
@@ -361,11 +359,10 @@ class Engine:
         else:
             g1, g2 = self._mutate(pa.genotype, rng), self._mutate(pb.genotype, rng)
             s1, s2 = pa.skill, pb.skill
-        kids = [
-            Individual(genotype=g1, skill=s1, birth=birth, uid=self._next_uid()),
-            Individual(genotype=g2, skill=s2, birth=birth, uid=self._next_uid()),
+        return [
+            Individual(genotype=g1, skill=s1, uid=self._next_uid()),
+            Individual(genotype=g2, skill=s2, uid=self._next_uid()),
         ]
-        return kids
 
     def draw(self, ind: Individual, rng: Random) -> array:
         """The individual's INSERT walk (``ls_intensity`` moves) on its own
@@ -411,7 +408,7 @@ class Engine:
         donors = [ind for ind in population if ind.skill == TASK_EAT]
         if not donors or _past(deadline):
             return []
-        donors.sort(key=lambda ind: (ind.objectives[TASK_EAT], ind.uid))
+        donors.sort(key=_rank_key(TASK_EAT))
         skeletons = [self.decode_task(TASK_EAT, ind.genotype) for ind in donors[:_TRANSFER_COUNT]]
         eat: EatSpec = self.aux
         seqs, values = _insert_best(self.pair.exp.matrix, skeletons, eat.remaining, latest_ties=False)
@@ -419,14 +416,14 @@ class Engine:
         return [
             Individual(
                 genotype=self.encode(keys, seq), skill=TASK_EXP, objectives={TASK_EXP: value},
-                birth=generation, uid=self._next_uid(),
+                uid=self._next_uid(),
             )
             for seq, value in zip(seqs, values)
         ]
 
     def _task_ranks(self, pool: list[Individual], task: str) -> dict:
         """1-based rank per uid on one task; unevaluated individuals are absent.
-        Rank 1 is the lowest (objective, birth, uid)."""
+        Rank 1 comes first in ``_rank_key`` order."""
         cands = [ind for ind in pool if task in ind.objectives]
         cands.sort(key=_rank_key(task))
         return {ind.uid: rank for rank, ind in enumerate(cands, start=1)}
@@ -437,25 +434,18 @@ class Engine:
         return min((ind for ind in pool if TASK_EXP in ind.objectives), key=_rank_key(TASK_EXP))
 
     def select(self, pool: list[Individual]) -> list[Individual]:
-        """Keep the highest-fitness individuals from parents plus offspring."""
+        """Keep the highest-fitness (1 / best factorial rank) individuals from
+        parents plus offspring; ties go to that task's lower objective, then uid."""
         n = self.config.population
         if len(pool) < n:
             raise UnderfullPoolError(f"pool of {len(pool)} cannot fill population {n}")
         ranks = {task: self._task_ranks(pool, task) for task in (TASK_EXP, TASK_EAT)}
 
-        def best_key(ind: Individual):
-            return min(
-                (ranks[task][ind.uid], ind.objectives[task])
-                for task in ind.objectives
-            )
+        def key(ind: Individual):
+            rank, obj = min((ranks[task][ind.uid], ind.objectives[task]) for task in ind.objectives)
+            return rank, obj, ind.uid
 
-        keyed = []
-        for ind in pool:
-            min_rank, obj = best_key(ind)
-            ind.fitness = 1.0 / min_rank
-            keyed.append(((min_rank, obj, ind.uid), ind))
-        keyed.sort(key=lambda t: t[0])
-        return [ind for _, ind in keyed[:n]]
+        return sorted(pool, key=key)[:n]
 
     # -- main loop -----------------------------------------------------------
 
@@ -476,7 +466,6 @@ class Engine:
             return "budget" if _past(deadline) else None
 
         rng = Random(config.rng_seed)
-        self.resolve(rng)
         pop = self.initialize(rng)
 
         trace = [TracePoint(elapsed(), 0, self.best(pop).objectives[TASK_EXP])]
@@ -491,7 +480,7 @@ class Engine:
             for a, b in zip(order[::2], order[1::2]):
                 if _past(deadline):
                     break  # select over what this generation has made so far
-                for kid in self.mate(pop[a], pop[b], rng, birth=gen):
+                for kid in self.mate(pop[a], pop[b], rng):
                     kids, rows = pending[kid.skill]
                     kids.append(kid)
                     rows.extend(self.draw(kid, rng))
@@ -518,8 +507,3 @@ class Engine:
             stopped_by=stopped_by,
             overrun_s=0.0 if deadline is None else max(0.0, elapsed_s - config.time_budget),
         )
-
-
-def run(pair: TaskPair, config: EngineConfig) -> RunResult:
-    """Construct an engine and execute one full run."""
-    return Engine(pair, config).run()

@@ -421,15 +421,19 @@ def _run_cell(args) -> RunRecord:
 
 def read_runs_csv(path: str | Path) -> list[RunRecord]:
     """Every row of a runs.csv; an empty ``re`` (a journal row written before
-    the campaign finished) reads as None, and a malformed row raises
-    ConfigError naming the file and line."""
+    the campaign finished) reads as None, and a malformed row, or one with a
+    cell more or fewer than the header, raises ConfigError naming the file
+    and line."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
+                # DictReader keys extra cells by None and fills missing ones with None
+                if None in row or None in row.values():
+                    raise ValueError
                 cells = {name: read(row[column]) for column, name, _, read in _RUNS_COLUMNS}
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, ValueError):
                 raise ConfigError(
                     f"{path}: line {reader.line_num} is not a finished run record"
                 ) from None

@@ -21,7 +21,6 @@ from flowmt.emt import (
     ImpTsk,
     RndTsk,
     TaskPair,
-    run,
 )
 from flowmt.harness import CampaignConfig, distance_sweep, relative_error, run_campaign
 from flowmt.instance import Instance, ProblemMatrix, makespan, write_instance
@@ -226,7 +225,7 @@ def test_c08_makespan_oracle_and_engine_optimum():
                 max_generations=60,
                 rng_seed=seed,
             )
-            result = run(TaskPair(exp, ImpTsk("lsp", 50)), config)
+            result = Engine(TaskPair(exp, ImpTsk("lsp", 50)), config).run()
             assert result.best_makespan >= optimum
             hits += result.best_makespan == optimum
     elapsed = time.perf_counter() - t0
@@ -263,7 +262,7 @@ def test_c09_transfer_beats_random_pairing_at_desk_scale():
                     time_budget=budget,
                     rng_seed=seed,
                 )
-                runs[arm].append(run(pair, config))
+                runs[arm].append(Engine(pair, config).run())
         per_instance.append(runs)
 
     # ARE comparison against each instance's best observed makespan
@@ -317,7 +316,7 @@ def test_c10_engine_invariants(tmp_path, monkeypatch):
                 max_generations=8,
                 rng_seed=3,
             )
-            result = run(TaskPair(exp, ImpTsk("lsp", 30)), config)
+            result = Engine(TaskPair(exp, ImpTsk("lsp", 30)), config).run()
             values = [pt.best_makespan for pt in result.trace]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -333,7 +332,6 @@ def test_c10_engine_invariants(tmp_path, monkeypatch):
     )
     engine = Engine(TaskPair(exp, ImpTsk("lsp", 30)), config)
     grng = Random(4)
-    engine.resolve(grng)
     pop = engine.initialize(grng)
     critical = engine.aux.S
     for gen in range(1, 6):
@@ -341,7 +339,7 @@ def test_c10_engine_invariants(tmp_path, monkeypatch):
         grng.shuffle(order)
         offspring = []
         for a, b in zip(order[::2], order[1::2]):
-            for kid in engine.mate(pop[a], pop[b], grng, birth=gen):
+            for kid in engine.mate(pop[a], pop[b], grng):
                 task_matrix = engine.tasks[kid.skill][0]
                 kid.objectives[kid.skill] = makespan(
                     task_matrix, engine.decode_task(kid.skill, kid.genotype)

@@ -4,8 +4,9 @@ from random import Random
 import pytest
 
 from flowmt.auxiliary import build_eat
+import flowmt.cli
 from flowmt.cli import main
-from flowmt.emt import ImpTsk
+from flowmt.emt import Engine, ImpTsk
 from flowmt.errors import ParameterError
 from flowmt.harness import read_runs_csv
 from flowmt.instance import Instance, parse_instance, write_instance
@@ -102,6 +103,45 @@ def test_solve_writes_trace(fig2_file, tmp_path, capsys):
     assert [r["generation"] for r in rows] == ["0", "1", "2", "3"]
     values = [int(r["best_makespan"]) for r in rows]
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("bad", ["nodir/t.csv", "adir"], ids=["missing-dir", "is-dir"])
+def test_solve_rejects_its_trace_path_before_running(fig2_file, tmp_path, capsys, monkeypatch, bad):
+    # the paper's budget is 0.03*n*m seconds, a minute at 100x20, all lost if
+    # the trace path fails only once the run is done
+    (tmp_path / "adir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    calls = []
+    real_run = Engine.run
+    monkeypatch.setattr(Engine, "run", lambda self: calls.append(1) or real_run(self))
+    trace = tmp_path / bad
+    assert main(["solve", str(fig2_file), "--generations", "30", "--trace-out", str(trace)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(trace) in err
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("bad", ["nodir/d.csv", "adir"], ids=["missing-dir", "is-dir"])
+def test_distance_sweep_rejects_its_out_path_before_computing(
+    tmp_path, fig2_file, capsys, monkeypatch, bad
+):
+    (tmp_path / "adir").mkdir()
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"instance={fig2_file.name}\nout={bad}\n")
+    before = sorted(tmp_path.rglob("*"))
+    calls = []
+    sweep = flowmt.cli.distance_sweep
+    monkeypatch.setattr(
+        flowmt.cli, "distance_sweep", lambda *a, **kw: calls.append(1) or sweep(*a, **kw)
+    )
+    assert main(["distance-sweep", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(tmp_path / bad) in err
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_experiment_and_metrics(tmp_path, capsys):

@@ -15,7 +15,6 @@ from flowmt.emt import (
     Individual,
     RndTsk,
     TaskPair,
-    run,
 )
 from flowmt.errors import ConfigError, UnderfullPoolError
 from flowmt.instance import Instance, generate_taillard, makespan
@@ -113,7 +112,7 @@ class TestInitialize:
         eng = make_engine(fig2_matrix)
         pop = eng.initialize(Random(6))
         for task in (TASK_EXP, TASK_EAT):
-            order = sorted(pop, key=lambda ind: (ind.objectives[task], ind.birth, ind.uid))
+            order = sorted(pop, key=lambda ind: (ind.objectives[task], ind.uid))
             for rank, ind in enumerate(order, start=1):
                 ind.__dict__.setdefault("_ranks", {})[task] = rank
         for ind in pop:
@@ -407,11 +406,11 @@ class TestSelect:
             Individual(genotype=(), skill=TASK_EXP, objectives={TASK_EXP: 30}, uid=3),
             Individual(genotype=(), skill=TASK_EXP, objectives={TASK_EXP: 40}, uid=4),
         ]
-        eng.select(list(pool))
-        assert pool[0].fitness == 1.0
-        assert pool[2].fitness == 1.0
-        assert pool[1].fitness == 0.5
-        assert pool[3].fitness == 0.5
+        survivors = eng.select(list(pool))
+        # fitness 1/rank: both rank-1 individuals (uids 1 and 3) come before
+        # both rank-2 ones, each pair in objective order
+        assert [ind.uid for ind in survivors] == [1, 3, 2, 4]
+        assert all(any(ind is kept for ind in pool) for kept in survivors)
 
     def test_rank_two_single_task(self, fig2_matrix):
         eng = self._engine(fig2_matrix)
@@ -421,8 +420,10 @@ class TestSelect:
             Individual(genotype=(), skill=TASK_EAT, objectives={TASK_EAT: 1}, uid=3),
             Individual(genotype=(), skill=TASK_EAT, objectives={TASK_EAT: 2}, uid=4),
         ]
-        eng.select(list(pool))
-        assert pool[1].fitness == 0.5
+        survivors = eng.select(list(pool))
+        # uid 2 is second on the expensive task, so it ranks with uid 4 behind
+        # the two rank-1 individuals
+        assert [ind.uid for ind in survivors] == [3, 1, 4, 2]
 
     def test_matches_sort_oracle_on_random_pools(self, fig2_matrix):
         eng = make_engine(fig2_matrix, population=6)
@@ -436,13 +437,7 @@ class TestSelect:
                 for task in which:
                     objectives[task] = rng.randint(100, 150)
                 pool.append(
-                    Individual(
-                        genotype=(),
-                        skill=which[0],
-                        objectives=objectives,
-                        birth=rng.randint(0, 3),
-                        uid=uid,
-                    )
+                    Individual(genotype=(), skill=which[0], objectives=objectives, uid=uid)
                 )
             survivors = eng.select(list(pool))
             # independent re-derivation
@@ -450,7 +445,7 @@ class TestSelect:
             for task in (TASK_EXP, TASK_EAT):
                 cands = sorted(
                     (ind for ind in pool if task in ind.objectives),
-                    key=lambda ind: (ind.objectives[task], ind.birth, ind.uid),
+                    key=lambda ind: (ind.objectives[task], ind.uid),
                 )
                 for rank, ind in enumerate(cands, start=1):
                     ranks.setdefault(ind.uid, {})[task] = rank
@@ -470,7 +465,7 @@ class TestRun:
     def test_zero_budget_returns_best_initial(self, fig2_matrix):
         pair = make_pair(fig2_matrix)
         config = EngineConfig(population=8, time_budget=0.0, rng_seed=5, ls_intensity=5)
-        result = run(pair, config)
+        result = Engine(pair, config).run()
         assert len(result.trace) == 1
         assert result.generations == 0
         assert result.best_makespan == makespan(fig2_matrix, list(result.best_perm))
@@ -488,7 +483,7 @@ class TestRun:
     def test_budget_run_records_its_stop_and_overrun(self, fig2_matrix):
         pair = make_pair(fig2_matrix)
         config = EngineConfig(population=8, ls_intensity=5, time_budget=0.2, rng_seed=3)
-        result = run(pair, config)
+        result = Engine(pair, config).run()
         assert result.stopped_by == "budget"
         assert result.elapsed_s >= 0.2
         assert result.overrun_s == pytest.approx(result.elapsed_s - 0.2)
@@ -523,9 +518,10 @@ class TestRun:
     @pytest.mark.parametrize("mode", ["ik", "ri"])
     def test_trace_is_best_seen_so_far(self, encoding, mode, monkeypatch):
         # every expensive-task objective the run stores is set by initialize,
-        # improve or explicit_transfer; record each with its birth, uid and
-        # sequence, and check the trace and the result against the first-seen
-        # minimum
+        # improve or explicit_transfer; record each with its generation, uid
+        # and sequence, and check the trace and the result against the
+        # first-seen minimum. Initialization is generation 0; an offspring's
+        # generation is one more than the selections done before it.
         monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 2)
         monkeypatch.setattr(flowmt.emt, "_TRANSFER_COUNT", 3)
         exp = generate_taillard(20, 5, 873654221)
@@ -534,12 +530,13 @@ class TestRun:
             max_generations=12, rng_seed=4,
         )
         eng = Engine(TaskPair(exp, ImpTsk("lsp", 20)), config)
-        seen = []  # (objective, birth, uid, sequence)
+        seen = []  # (objective, generation, uid, sequence)
         patched = []
+        selections = 0
 
-        def record(inds):
+        def record(inds, generation):
             seen.extend(
-                (ind.objectives[TASK_EXP], ind.birth, ind.uid,
+                (ind.objectives[TASK_EXP], generation, ind.uid,
                  tuple(eng.decode_task(TASK_EXP, ind.genotype)))
                 for ind in inds
                 if TASK_EXP in ind.objectives
@@ -548,27 +545,84 @@ class TestRun:
 
         def record_improve(kids, rows):
             improve(kids, rows)
-            record(kids)
+            record(kids, selections + 1)
 
         def record_transfer(*args):
-            out = record(transfer(*args))
+            out = record(transfer(*args), selections + 1)
             patched.extend(out)
             return out
 
+        def count_select(pool):
+            nonlocal selections
+            selections += 1
+            return select(pool)
+
         initialize, improve, transfer = eng.initialize, eng.improve, eng.explicit_transfer
-        eng.initialize = lambda rng: record(initialize(rng))
+        select = eng.select
+        eng.initialize = lambda rng: record(initialize(rng), 0)
         eng.improve, eng.explicit_transfer = record_improve, record_transfer
+        eng.select = count_select
         result = eng.run()
 
+        assert selections == config.max_generations
         assert len(result.trace) == config.max_generations + 1
         for point in result.trace:
-            assert point.best_makespan == min(v for v, birth, _, _ in seen if birth <= point.generation)
+            assert point.best_makespan == min(v for v, g, _, _ in seen if g <= point.generation)
         assert result.trace[-1].best_makespan < result.trace[0].best_makespan
         assert result.best_makespan == result.trace[-1].best_makespan
         assert result.best_perm == min(seen)[3]
         assert bool(patched) == (mode == "ri")
         if encoding == "perm":
             assert makespan(exp.matrix, list(result.best_perm)) == result.best_makespan
+
+    @pytest.mark.parametrize("encoding", ["realkey", "perm"])
+    def test_uids_follow_creation_order(self, encoding, monkeypatch):
+        # the rank order breaks objective ties by uid, which must mean "made
+        # first": uids rise in creation order, and every uid of a generation,
+        # offspring and patched individuals alike, exceeds all earlier ones
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 2)
+        exp = generate_taillard(20, 5, 873654221)
+        config = EngineConfig(
+            population=10, ls_intensity=3, encoding=encoding, transfer_mode="ri",
+            max_generations=6, rng_seed=4,
+        )
+        eng = Engine(TaskPair(exp, ImpTsk("lsp", 20)), config)
+        made = []  # (generation, uid) in creation order
+        patched = []
+        generation = 0
+        initialize, mate, transfer = eng.initialize, eng.mate, eng.explicit_transfer
+
+        def record_initialize(rng):
+            pop = initialize(rng)
+            made.extend((0, ind.uid) for ind in pop)
+            return pop
+
+        def record_mate(pa, pb, rng):
+            kids = mate(pa, pb, rng)
+            made.extend((generation + 1, kid.uid) for kid in kids)
+            return kids
+
+        def record_transfer(population, gen, deadline=None):
+            nonlocal generation
+            assert gen == generation + 1
+            out = transfer(population, gen, deadline)
+            made.extend((gen, ind.uid) for ind in out)
+            patched.extend(out)
+            generation = gen  # the transfer is the last step to create individuals
+            return out
+
+        eng.initialize, eng.mate, eng.explicit_transfer = (
+            record_initialize, record_mate, record_transfer
+        )
+        eng.run()
+
+        assert generation == config.max_generations
+        assert len(patched) > 0
+        uids = [uid for _, uid in made]
+        assert all(a < b for a, b in zip(uids, uids[1:]))
+        for gen in range(1, config.max_generations + 1):
+            newest_before = max(uid for g, uid in made if g < gen)
+            assert min(uid for g, uid in made if g == gen) > newest_before
 
     def test_permutation_encoding_run(self, fig2_matrix):
         result = make_engine(fig2_matrix, encoding="perm", max_generations=4).run()
@@ -578,7 +632,7 @@ class TestRun:
     def test_one_job_run(self, encoding):
         inst = Instance(random_matrix(Random(29), 1, 2), name="one")
         config = EngineConfig(encoding=encoding, population=4, ls_intensity=3, max_generations=2)
-        result = run(TaskPair(inst, RndTsk(1, inst)), config)
+        result = Engine(TaskPair(inst, RndTsk(1, inst)), config).run()
         assert result.best_perm == (1,)
         assert result.best_makespan == sum(inst.matrix.rows()[0])
 
@@ -589,7 +643,7 @@ class TestRun:
         config = EngineConfig(
             population=8, ls_intensity=5, transfer_mode="ik", max_generations=3, rng_seed=1
         )
-        result = run(pair, config)
+        result = Engine(pair, config).run()
         assert sorted(result.best_perm) == list(range(1, 11))
 
     def test_rndtsk3_ik_run_truncates_decode(self, fig2_matrix):
@@ -599,7 +653,7 @@ class TestRun:
         config = EngineConfig(
             population=8, ls_intensity=5, transfer_mode="ik", max_generations=3, rng_seed=2
         )
-        result = run(pair, config)
+        result = Engine(pair, config).run()
         assert sorted(result.best_perm) == list(range(1, 11))
 
     def test_reused_pair_runs_like_a_fresh_one(self):
@@ -607,8 +661,8 @@ class TestRun:
         shared = TaskPair(ta001, ImpTsk("rnd", 30))
         for seed in (1, 2):
             config = EngineConfig(population=20, ls_intensity=10, max_generations=5, rng_seed=seed)
-            reused = run(shared, config)
-            fresh = run(TaskPair(ta001, ImpTsk("rnd", 30)), config)
+            reused = Engine(shared, config).run()
+            fresh = Engine(TaskPair(ta001, ImpTsk("rnd", 30)), config).run()
             assert reused.best_perm == fresh.best_perm
             assert reused.trace == fresh.trace
 
@@ -620,7 +674,7 @@ class TestRun:
         exp = generate_taillard(100, 20, 1539989115)
         config = EngineConfig(transfer_mode="ri", time_budget=0.3, rng_seed=1)
         t0 = time.perf_counter()
-        result = run(TaskPair(exp, ImpTsk("lsp", 20)), config)
+        result = Engine(TaskPair(exp, ImpTsk("lsp", 20)), config).run()
         assert time.perf_counter() - t0 < 2.0
         assert result.trace[-1].generation == result.generations
         assert result.best_makespan == makespan(exp.matrix, list(result.best_perm))
@@ -639,7 +693,7 @@ class TestRun:
             transfer_mode="ri", ls_intensity=2000, time_budget=0.3, rng_seed=1
         )
         t0 = time.perf_counter()
-        result = run(TaskPair(exp, ImpTsk("lsp", 20)), config)
+        result = Engine(TaskPair(exp, ImpTsk("lsp", 20)), config).run()
         assert time.perf_counter() - t0 < 2.0
         assert result.trace[-1].generation == result.generations
         assert result.stopped_by == "budget"
@@ -727,6 +781,6 @@ class TestRun:
     def test_wall_clock_budget_terminates(self, fig2_matrix):
         pair = make_pair(fig2_matrix)
         config = EngineConfig(population=8, ls_intensity=5, time_budget=0.3, rng_seed=3)
-        result = run(pair, config)
+        result = Engine(pair, config).run()
         assert result.elapsed_s >= 0.3
         assert result.trace[-1].elapsed_s > 0.0

@@ -314,6 +314,31 @@ class TestRunCampaign:
         assert all((out / r.trace_path).is_file() for r in records)
         assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")} == pristine
 
+    @pytest.mark.parametrize(
+        "edit", [lambda cells: cells[:-1], lambda cells: cells + ["extra"]], ids=["short", "long"]
+    )
+    def test_resume_rejects_a_row_of_the_wrong_width(self, campaign_dir, monkeypatch, edit):
+        # a row that ends in its newline was written whole, so a cell too few
+        # or too many is damage, not a crash to redo; trusted, the short row
+        # left run 0 with an empty trace cell
+        config = small_config(campaign_dir, instances=["inst0.txt"],
+                              algorithms=["P-MFEA/LSP-20/IK"], runs=2)
+        run_campaign(config)
+        runs_csv = campaign_dir / "out" / "runs.csv"
+        header, row = runs_csv.read_bytes().decode().splitlines(keepends=True)[:2]
+        cells = row.rstrip("\r\n")
+        edited = ",".join(edit(cells.split(","))) + row[len(cells):]  # newline kept
+        runs_csv.write_bytes((header + edited).encode())
+
+        calls = []
+        real_run = Engine.run
+        monkeypatch.setattr(Engine, "run", lambda self: calls.append(1) or real_run(self))
+        with pytest.raises(ConfigError, match=r"runs\.csv: line 2 is not a finished run record"):
+            run_campaign(config)
+        with pytest.raises(ConfigError, match=r"runs\.csv: line 2 is not a finished run record"):
+            read_runs_csv(runs_csv)
+        assert calls == []
+
     def test_empty_instance_list(self, campaign_dir):
         # a campaign of no cells is a config mistake, not header-only CSVs
         with pytest.raises(ConfigError, match="no instance= line"):
