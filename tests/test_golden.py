@@ -10,6 +10,8 @@ import hashlib
 import sys
 from pathlib import Path
 
+import pytest
+
 import flowmt
 from flowmt import cli
 
@@ -39,6 +41,42 @@ def test_realkey_ri_100x20_digest_matches():
     result = flowmt.Engine(flowmt.TaskPair(inst, flowmt.ImpTsk("lsp", 20)), config).run()
     assert result.best_makespan == 6655
     assert golden.digest(result) == RI_100X20_DIGEST
+
+
+# The golden cases pair only by lsp-20 and rndtsk2. These runs pin the other
+# pairing paths: rndtsk1, rndtsk3 (the only pairing that projects the
+# expensive task onto its own jobs), rnd (drawn from the run's rng inside
+# resolve) and sr0 (NEH inside resolve). Their digests were recorded with the
+# four-field AlgorithmSpec and the engine's `aux` attribute that came before
+# the single pairing description.
+PAIRINGS = {
+    "rndtsk1": ("ik", lambda: flowmt.RndTsk(1, flowmt.generate_taillard(20, 5, 379008056))),
+    "rndtsk3": ("ik", lambda: flowmt.RndTsk(3, flowmt.generate_taillard(30, 5, 1401007982))),
+    "sr0-30": ("ri", lambda: flowmt.ImpTsk("sr0", 30)),
+    "rnd-30": ("ri", lambda: flowmt.ImpTsk("rnd", 30)),
+}
+PAIRING_DIGESTS = {
+    ("realkey", "rndtsk1"): (1370, "0cff0b2518167f7fec8546d721a3159fbc68bfaf8464258d0eae0c9bf866397f"),
+    ("realkey", "rndtsk3"): (1363, "fa00f3ae8b598475ec200fc4832da20beab2f38da0960eb81f06ce5bc20af129"),
+    ("realkey", "sr0-30"): (1303, "339cb1e2717a5664632f28a85f440669c200d94ffbca018096e479a4780f1be7"),
+    ("realkey", "rnd-30"): (1297, "a280090ff15ed501c6f500e5bc3007bfad5b4fda6ef9e23cab2979f8a086b849"),
+    ("perm", "rndtsk1"): (1342, "26538752affe9dcba3f58a773f3959b506da47e36a1fb79488486ed276ffc411"),
+    ("perm", "rndtsk3"): (1377, "37e8ad06f56ae35dae54d5be0fcdbd214a5c9b0f7bbf9a048a5cc31470492462"),
+    ("perm", "sr0-30"): (1297, "599a1f8a64f791188d200378a84009c02bbbebaf794fc2cf2b7077b044fbd2d8"),
+    ("perm", "rnd-30"): (1302, "89d2d4c073923104b11ce45144562add42e064042f2269e636af6c621a6daae3"),
+}
+
+
+@pytest.mark.parametrize("encoding, pairing", sorted(PAIRING_DIGESTS))
+def test_pairing_digest_matches(encoding, pairing):
+    exp = flowmt.generate_taillard(20, 5, 873654221)
+    mode, make = PAIRINGS[pairing]
+    config = flowmt.EngineConfig(population=20, ls_intensity=10, encoding=encoding,
+                                 transfer_mode=mode, max_generations=8, rng_seed=7)
+    result = flowmt.Engine(flowmt.TaskPair(exp, make()), config).run()
+    assert sorted(result.best_perm) == list(range(1, exp.n + 1))
+    assert flowmt.makespan(exp.matrix, result.best_perm) == result.best_makespan
+    assert (result.best_makespan, golden.digest(result)) == PAIRING_DIGESTS[encoding, pairing]
 
 
 # Every file a small campaign, its resume and a distance sweep write through
