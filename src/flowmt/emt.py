@@ -20,7 +20,7 @@ from math import cos, inf, log, sin, sqrt, tau
 from random import Random
 from typing import NamedTuple
 
-from .auxiliary import EatSpec, build_eat, check_pairing, critical_count
+from .auxiliary import build_eat, check_pairing, critical_count
 from .errors import ConfigError, UnderfullPoolError
 from .instance import Instance, _makespans
 from .search import _draw_walk, _insert_best, _position_pairs, _walk_minima
@@ -188,7 +188,6 @@ class Engine:
                 "patched-solution transfer needs an auxiliary task drawn from the "
                 "expensive task's own jobs"
             )
-        self.aux: EatSpec | Instance | None = None  # set by resolve, which initialize calls
         self._uid = 0
         # the encoding's operators; the decoder is looked up per engine, so a
         # wrapper installed on ``emt.rov_decode`` sees its calls
@@ -204,16 +203,18 @@ class Engine:
 
         Fills ``self.tasks``: task -> (matrix, jobs), where ``jobs`` is the set
         a full sequence projects onto, or None when the task schedules every
-        gene.
+        gene; and ``self.remaining``: the jobs an EAT leaves out, in descending
+        importance, or () for a random pairing.
         """
         exp = self.pair.exp
         pairing = self.pair.pairing
         if isinstance(pairing, ImpTsk):
-            self.aux = build_eat(exp.matrix, pairing.measure, pairing.k, rng=rng)
-            aux_matrix, aux_jobs = exp.matrix, self.aux.S  # rows of the kept jobs are the task
+            eat = build_eat(exp.matrix, pairing.measure, pairing.k, rng=rng)
+            aux_matrix, aux_jobs = exp.matrix, eat.selected  # rows of the kept jobs are the task
+            self.remaining = eat.remaining
         else:
-            self.aux = pairing.instance
-            aux_matrix, aux_jobs = self.aux.matrix, range(1, self.aux.n + 1)
+            aux_matrix = pairing.instance.matrix
+            aux_jobs, self.remaining = range(1, aux_matrix.n + 1), ()
         self.D = max(exp.n, aux_matrix.n)
         self.tasks = {
             task: (matrix, None if len(jobs) == self.D else set(jobs))
@@ -410,8 +411,7 @@ class Engine:
             return []
         donors.sort(key=_rank_key(TASK_EAT))
         skeletons = [self.decode_task(TASK_EAT, ind.genotype) for ind in donors[:_TRANSFER_COUNT]]
-        eat: EatSpec = self.aux
-        seqs, values = _insert_best(self.pair.exp.matrix, skeletons, eat.remaining, latest_ties=False)
+        seqs, values = _insert_best(self.pair.exp.matrix, skeletons, self.remaining, latest_ties=False)
         keys = default_key_values(self.D)
         return [
             Individual(

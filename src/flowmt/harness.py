@@ -167,16 +167,13 @@ class AlgorithmSpec:
     name: str
     encoding: str      # realkey | perm
     transfer: str      # ik | ri
-    measure: str | None = None
-    k: int | None = None
-    rnd_kind: int | None = None
-    aux_path: str | None = None
+    pairing: ImpTsk | tuple  # or a random pairing's (kind, instance file)
 
     def make_pair(self, exp: Instance, base_dir: str | Path = ".") -> TaskPair:
-        if self.measure is not None:
-            return TaskPair(exp, ImpTsk(self.measure, self.k))
-        aux = load_instance_file(Path(base_dir) / self.aux_path)
-        return TaskPair(exp, RndTsk(self.rnd_kind, aux))
+        if isinstance(self.pairing, ImpTsk):
+            return TaskPair(exp, self.pairing)
+        kind, path = self.pairing
+        return TaskPair(exp, RndTsk(kind, load_instance_file(Path(base_dir) / path)))
 
 
 _ENGINES = {"mfea-i": "realkey", "p-mfea": "perm"}
@@ -204,11 +201,7 @@ def parse_algorithm(name: str) -> AlgorithmSpec:
         if not aux:
             raise ConfigError(f"random pairing {pairing!r} needs an instance file")
         # keep the original (case-preserved) path portion
-        aux_path = pairing.partition(":")[2]
-        return AlgorithmSpec(
-            name=name, encoding=enc, transfer=mode,
-            rnd_kind=int(head[6]), aux_path=aux_path,
-        )
+        return AlgorithmSpec(name, enc, mode, (int(head[6]), pairing.partition(":")[2]))
 
     measure, sep, ratio = low.partition("-")
     if not sep:
@@ -218,10 +211,10 @@ def parse_algorithm(name: str) -> AlgorithmSpec:
     except ValueError:
         raise ConfigError(f"bad sampling ratio in pairing {pairing!r}") from None
     try:
-        check_pairing(measure, k)  # now, not when the first cell runs
+        imp = ImpTsk(measure, k)  # checked now, not when the first cell runs
     except ParameterError as exc:
         raise ConfigError(f"bad pairing {pairing!r}: {exc}") from None
-    return AlgorithmSpec(name=name, encoding=enc, transfer=mode, measure=measure, k=k)
+    return AlgorithmSpec(name, enc, mode, imp)
 
 
 def build_engine(

@@ -333,7 +333,7 @@ def test_c10_engine_invariants(tmp_path, monkeypatch):
     engine = Engine(TaskPair(exp, ImpTsk("lsp", 30)), config)
     grng = Random(4)
     pop = engine.initialize(grng)
-    critical = engine.aux.S
+    critical = engine.tasks[TASK_EAT][1]
     for gen in range(1, 6):
         order = list(range(len(pop)))
         grng.shuffle(order)

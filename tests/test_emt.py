@@ -321,7 +321,7 @@ class TestImprove:
         before_full = rov_decode(genotype)
         eng.improve([ind], eng.draw(ind, Random(15)))
         after_full = rov_decode(ind.genotype)
-        critical = eng.aux.S
+        critical = eng.tasks[TASK_EAT][1]
         for pos, (a, b) in enumerate(zip(before_full, after_full)):
             if a not in critical:
                 assert a == b, f"non-critical job moved at position {pos}"
@@ -360,7 +360,7 @@ class TestExplicitTransfer:
         )
         transferred = eng.explicit_transfer(pop, 5)
         assert len(transferred) == min(len(donors), 8)
-        critical = eng.aux.S
+        critical = eng.tasks[TASK_EAT][1]
         for donor, new in zip(donors, transferred):
             assert new.skill == TASK_EXP
             full = rov_decode(new.genotype)

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from flowmt.emt import Engine
+from flowmt.emt import Engine, ImpTsk
 from flowmt.errors import ConfigError, ParameterError, ParseError
 from flowmt.harness import (
     CampaignConfig,
@@ -90,19 +90,16 @@ class TestAlgorithmNames:
         spec = parse_algorithm("MFEA-I/LSP-20/RI")
         assert spec.encoding == "realkey"
         assert spec.transfer == "ri"
-        assert spec.measure == "lsp"
-        assert spec.k == 20
+        assert spec.pairing == ImpTsk("lsp", 20)
 
     def test_permutation_engine(self):
         spec = parse_algorithm("P-MFEA/KK2-30/IK")
         assert spec.encoding == "perm"
-        assert spec.measure == "kk2"
+        assert spec.pairing == ImpTsk("kk2", 30)
 
     def test_random_pairing_with_file(self):
         spec = parse_algorithm("MFEA-I/RndTsk2:aux_small.txt/IK")
-        assert spec.rnd_kind == 2
-        assert spec.aux_path == "aux_small.txt"
-        assert spec.measure is None
+        assert spec.pairing == (2, "aux_small.txt")
 
     @pytest.mark.parametrize(
         "bad",
