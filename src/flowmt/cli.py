@@ -172,7 +172,7 @@ def _cmd_solve(args) -> int:
     inst = load_instance_file(args.instance)
     algo = parse_algorithm(f"{'MFEA-I' if args.encoding == 'realkey' else 'P-MFEA'}"
                            f"/{args.pairing}/{args.transfer}")
-    pair = algo.make_pair(inst, Path(args.instance).parent)
+    pair = algo.make_pair(inst)  # a random pairing's file is read from the working directory
     factor = args.budget_factor
     if factor is None and args.generations is None:
         factor = 0.03  # the paper's budget: 0.03 * n * m seconds

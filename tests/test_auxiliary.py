@@ -5,7 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from flowmt.auxiliary import MEASURES, build_eat, importance_scores
+from flowmt.auxiliary import MEASURES, build_eat, critical_count, importance_scores
 from flowmt.distance import itdm, zero_pad
 from flowmt.errors import ParameterError
 from flowmt.instance import ProblemMatrix, makespan
@@ -178,3 +178,18 @@ class TestBuildEat:
         lsp_mean = sum(per_measure["lsp"]) / 10
         for measure, values in per_measure.items():
             assert lsp_mean <= sum(values) / 10 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: critical_count(5, 100), "ratio 100% keeps all 5 jobs; nothing saved"),
+        (lambda p: build_eat(p, "lsp", 40, ranking=[1, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+         "supplied ranking must order every job exactly once"),
+    ],
+    ids=["keeps-every-job", "repeated-job-in-ranking"],
+)
+def test_bad_selection_rejected(fig2_matrix, call, message):
+    with pytest.raises(ParameterError) as err:
+        call(fig2_matrix)
+    assert str(err.value) == message

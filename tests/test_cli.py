@@ -351,10 +351,11 @@ def _write_aux(path):
 
 
 @pytest.mark.parametrize("command", ["solve", "experiment"])
-def test_random_pairing_file_in_subdirectory(tmp_path, fig2_file, capsys, command):
+def test_random_pairing_file_in_subdirectory(tmp_path, fig2_file, capsys, monkeypatch, command):
     # only the first and the last '/' of an algorithm name separate its parts
     _write_aux(tmp_path / "sub" / "aux.txt")
     if command == "solve":
+        monkeypatch.chdir(tmp_path)  # solve reads the file from the working directory
         argv = [
             "solve", str(fig2_file), "--pairing", "rndtsk2:sub/aux.txt", "--transfer", "ik",
             "--generations", "2", "--pop", "6", "--ls", "2", "--trace-out", str(tmp_path / "t.csv"),
@@ -371,6 +372,23 @@ def test_random_pairing_file_in_subdirectory(tmp_path, fig2_file, capsys, comman
         (record,) = read_runs_csv(tmp_path / "out" / "runs.csv")
         assert record.algorithm == "MFEA-I/RndTsk2:sub/aux.txt/IK"
         assert (tmp_path / "out" / record.trace_path).exists()
+
+
+def test_solve_reads_random_pairing_file_from_working_directory(
+    tmp_path, fig2_matrix, capsys, monkeypatch
+):
+    # like the instance and --trace-out, not next to the instance file
+    inst = tmp_path / "inst" / "fig2.txt"
+    inst.parent.mkdir()
+    inst.write_text(write_instance(Instance(fig2_matrix, name="fig2")))
+    _write_aux(tmp_path / "aux.txt")
+    monkeypatch.chdir(tmp_path)
+    argv = [
+        "solve", "inst/fig2.txt", "--pairing", "rndtsk2:aux.txt", "--transfer", "ik",
+        "--generations", "2", "--pop", "6", "--ls", "2",
+    ]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert (tmp_path / "fig2_trace.csv").exists()
 
 
 @pytest.mark.parametrize("first, second", [("a b.txt", "a_b.txt"), ("sub/aux.txt", "sub_aux.txt")])
@@ -509,3 +527,62 @@ def test_best_known_below_bound_names_file_and_token(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     assert main(["distance", "nope.txt", "alsono.txt"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_solve_without_budget_or_generations_uses_the_papers_budget(
+    tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "t.txt"
+    path.write_text("4 2\n1 2\n3 4\n5 6\n7 8\n")
+    configs = []
+    real_run = Engine.run
+    monkeypatch.setattr(Engine, "run", lambda self: configs.append(self.config) or real_run(self))
+    argv = ["solve", str(path), "--pairing", "lsp-50", "--pop", "4", "--ls", "1",
+            "--trace-out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0, capsys.readouterr().err
+    (config,) = configs
+    assert config.time_budget == 0.03 * 4 * 2  # 0.03 * n * m seconds
+    assert config.max_generations is None
+
+
+def test_solve_reports_relative_error_to_best_known(tmp_path, capsys):
+    # a taillard file: 4 jobs, 2 machines, seed 7, best known 20
+    path = tmp_path / "t.txt"
+    path.write_text("4 2 7 20\n1 2 3 4\n4 3 2 1\n")
+    argv = ["solve", str(path), "--pairing", "lsp-50", "--generations", "2", "--pop", "4",
+            "--ls", "1", "--trace-out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    best = int(out[0].removeprefix("best_makespan = "))
+    assert out[1] == f"re = {100.0 * (best - 20) / 20:.4f}"
+
+
+def test_metrics_writes_out_file(tmp_path, capsys):
+    runs = tmp_path / "runs.csv"
+    runs.write_text(
+        "algorithm,instance,run,seed,makespan,re,re_basis,elapsed_s,trace\n"
+        "A,i,0,1,110,10.000000,best_known,0.000000,t0.csv\n"
+        "A,i,1,2,105,5.000000,best_known,0.000000,t1.csv\n"
+    )
+    out = tmp_path / "metrics.csv"
+    assert main(["metrics", str(runs), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text().splitlines() == [
+        "algorithm,instance,are,bre,wre", "A,i,7.500000,5.000000,10.000000",
+    ]
+
+
+def test_build_eat_without_out_writes_matrix_to_stdout(fig2_file, capsys):
+    assert main(["build-eat", str(fig2_file), "--measure", "lsp", "--ratio", "40"]) == 0
+    out, err = capsys.readouterr()
+    eat = parse_instance(out, name="eat")
+    assert eat.n == 4 and eat.m == 5
+    assert eat.matrix.rows()[0] == FIG2_TIMES[3]
+    assert err == "S = 4 9 5 7\ng = 4\n"
+
+
+def test_patch_non_integer_eat_perm_exit_code(fig2_file, capsys):
+    assert main(["patch", str(fig2_file), "--eat-perm", "1,x"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --eat-perm must be comma-separated integers: '1,x'\n"

@@ -209,3 +209,19 @@ class TestCosThetaLowerBound:
     def test_degenerate_instance_rejected(self):
         with pytest.raises(ParameterError):
             cos_theta_lower_bound(ProblemMatrix([[5]]), {1})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda p: itdm([1.0, 2.0, 3.0], p), ShapeError,
+         "expected a 2-D matrix, got shape (3,)"),
+        (lambda p: cos_theta_lower_bound(p, [2, 11]), JobIndexError,
+         "critical job 11 outside 1..10"),
+    ],
+    ids=["itdm-1-d", "critical-job-out-of-range"],
+)
+def test_bad_input_rejected(fig2_matrix, call, error, message):
+    with pytest.raises(error) as err:
+        call(fig2_matrix)
+    assert str(err.value) == message

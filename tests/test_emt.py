@@ -784,3 +784,20 @@ class TestRun:
         result = Engine(pair, config).run()
         assert result.elapsed_s >= 0.3
         assert result.trace[-1].elapsed_s > 0.0
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: RndTsk(4, generate_taillard(5, 2, 1)),
+         "random-pairing kind must be 1, 2 or 3, got 4"),
+        (lambda: EngineConfig(encoding="keys", max_generations=1), "unknown encoding 'keys'"),
+        (lambda: EngineConfig(transfer_mode="xx", max_generations=1),
+         "unknown transfer mode 'xx'"),
+    ],
+    ids=["rndtsk4", "encoding", "transfer-mode"],
+)
+def test_unknown_kind_or_mode_rejected(make, message):
+    with pytest.raises(ConfigError) as err:
+        make()
+    assert str(err.value) == message

@@ -480,3 +480,19 @@ class TestDistanceSweep:
         a = distance_sweep([fig2_instance], ["rnd"], [30, 50], seed=3)
         b = distance_sweep([fig2_instance], ["rnd"], [30, 50], seed=3)
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: aggregate([RunRecord("a", "i", 0, 0, 100, 0.0)]), ParameterError,
+         "aggregate needs relative errors on every record"),
+        (lambda: parse_algorithm("MFEA-I/LSP-x/RI"), ConfigError,
+         "bad sampling ratio in pairing 'LSP-x'"),
+    ],
+    ids=["aggregate-without-re", "non-integer-ratio"],
+)
+def test_error_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

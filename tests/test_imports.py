@@ -9,6 +9,11 @@ package's re-exports.
 Every name in a package module's ``__all__`` must also exist in that module,
 so a deleted function cannot linger as an export that breaks
 ``from flowmt.<module> import *``.
+
+Every private helper of the package, a module-level ``_function`` or a class's
+``_method``, must be read somewhere in ``src/flowmt``: as a loaded name (a call,
+an import's later use) or as a loaded attribute (``self._method``), so a helper
+whose last caller is deleted goes with it.
 """
 
 import ast
@@ -87,3 +92,43 @@ def test_export_check_flags_only_missing_names():
 def test_every_export_exists(path):
     name = "flowmt" if path.name == "__init__.py" else f"flowmt.{path.stem}"
     assert missing_exports(importlib.import_module(name)) == []
+
+
+def unread_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_functions`` and class ``_methods`` (dunders aside) in
+    ``sources``, file name -> text, that no source reads by name or attribute."""
+    defined, read = [], set()
+    for file, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        for node in tree.body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if fn.name.startswith("_") and not fn.name.startswith("__"):
+                    defined.append((file, fn.lineno, fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{file} line {line}: {name}" for file, line, name in defined if name not in read]
+
+
+def test_helper_scan_flags_only_helpers_never_read():
+    sources = {
+        "a.py": (
+            "def _called(): pass\n"
+            "def _unread(): pass\n"
+            "def __getattr__(name): pass\n"
+            "class C:\n"
+            "    def __init__(self): self._bound = self._kept\n"
+            "    def _kept(self): pass\n"
+            "    def _dropped(self): pass\n"
+        ),
+        "b.py": "from a import _called\n_called()\n",
+    }
+    assert unread_private_helpers(sources) == ["a.py line 2: _unread", "a.py line 7: _dropped"]
+
+
+def test_every_private_helper_is_read():
+    assert unread_private_helpers({path.name: path.read_text() for path in PACKAGE}) == []

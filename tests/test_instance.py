@@ -323,3 +323,24 @@ class TestTypes:
     def test_best_known_validated(self, fig2_matrix):
         with pytest.raises(ParameterError):
             Instance(fig2_matrix, best_known=10)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: ProblemMatrix([1, 2, 3]), ParameterError,
+         "processing-time matrix must be 2-D, got shape (3,)"),
+        (lambda: parse_instance("1 1\n5\n", "csv"), ParameterError, "unknown format 'csv'"),
+        (lambda: parse_instance(" \n\n"), ParseError, "line 1: empty instance file"),
+        (lambda: parse_instance("3\n1 2 3\n"), ParseError,
+         "line 1: header needs at least 'n m'"),
+        (lambda: parse_instance("0 3\n"), ParseError, "line 1: invalid dimensions 0 x 3"),
+        (lambda: generate_taillard(0, 5, 1), ParameterError, "need n >= 1 and m >= 1"),
+    ],
+    ids=["1-d-matrix", "unknown-format", "empty-text", "one-token-header", "zero-jobs",
+         "generate-zero-jobs"],
+)
+def test_malformed_input_rejected(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message

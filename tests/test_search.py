@@ -277,6 +277,14 @@ class TestSolveEat:
         with pytest.raises(ParameterError):
             solve_eat(fig2_matrix, -1, Random(1))
 
+    def test_all_zero_times_keep_the_neh_seed(self):
+        # T0 = m * mean(p) / 10 is 0 here, so annealing starts from T0 = 1;
+        # every move ties and none improves on the seed
+        zero = ProblemMatrix(np.zeros((4, 3), dtype=np.int64))
+        best = solve_eat(zero, 50, Random(2))
+        assert best == solve_eat(zero, 0, Random(2))
+        assert sorted(best) == [1, 2, 3, 4]
+
     def test_never_worse_than_seed(self):
         rng = Random(26)
         for trial in range(10):
