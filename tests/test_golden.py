@@ -14,6 +14,7 @@ import pytest
 
 import flowmt
 from flowmt import cli
+from flowmt.harness import write_sweep_csv
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -112,3 +113,28 @@ def test_cli_campaign_and_sweep_digest_matches(tmp_path):
         digest.update(name.encode() + b"\0" + data)
     assert len(first) == 6  # runs.csv, metrics.csv and four traces
     assert digest.hexdigest() == CLI_FILES_DIGEST
+
+
+# What describing an EAT touches: a sweep over every measure and ratio on two
+# instances, and build-eat's file and S/g report for an importance measure, a
+# random one and a sequence one. Its digest was recorded with the EatSpec
+# that repeated its measure, ratio and critical set, and the zero_pad that
+# copied the compact rows back into a full-size matrix.
+EAT_DIGEST = "e2cc7c80b961c40a6a1ae930b3982f70f94c72a4855886ef5577ec30769c1206"
+
+
+def test_eat_sweep_and_build_digest_matches(tmp_path, capsys):
+    big = flowmt.generate_taillard(100, 20, 1539989115)
+    small = flowmt.generate_taillard(20, 5, 873654221)
+    rows = flowmt.distance_sweep([big, small], flowmt.MEASURES, range(10, 100, 10), seed=3)
+    write_sweep_csv(tmp_path / "sweep.csv", rows)
+    digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes())
+    (tmp_path / "big.txt").write_text(flowmt.write_instance(big))
+    for args in (["lsp", "--ratio", "20"], ["rnd", "--ratio", "40", "--seed", "5"],
+                 ["sr1", "--ratio", "30"]):
+        out = tmp_path / "eat.txt"
+        argv = ["build-eat", str(tmp_path / "big.txt"), "--measure", *args, "--out", str(out)]
+        assert cli.main(argv) == 0
+        digest.update(out.read_bytes() + b"\0" + capsys.readouterr().out.encode())
+    assert len(rows) == 2 * 8 * 9
+    assert digest.hexdigest() == EAT_DIGEST
