@@ -42,8 +42,6 @@ class EatSpec:
     order.
     """
 
-    measure: str
-    k: int
     ranking: tuple[int, ...]
     g: int
     submatrix: ProblemMatrix
@@ -51,10 +49,6 @@ class EatSpec:
     @property
     def selected(self) -> tuple[int, ...]:
         return self.ranking[: self.g]
-
-    @property
-    def S(self) -> frozenset[int]:
-        return frozenset(self.ranking[: self.g])
 
     @property
     def remaining(self) -> tuple[int, ...]:
@@ -148,30 +142,10 @@ def critical_count(n: int, k: int) -> int:
     return g
 
 
-def build_eat(
-    matrix: ProblemMatrix,
-    measure: str,
-    k: int,
-    rng=None,
-    ranking=None,
-) -> EatSpec:
-    """Keep the top k percent of jobs under the given measure.
-
-    ``ranking`` lets callers sweeping many ratios reuse one scoring pass; it
-    must be the measure's own descending-importance order.
-    """
+def build_eat(matrix: ProblemMatrix, measure: str, k: int, rng=None) -> EatSpec:
+    """Keep the top k percent of jobs under the given measure."""
     kind = check_pairing(measure, k)
     g = critical_count(matrix.n, k)
-    if ranking is None:
-        _, ranking = importance_scores(matrix, kind, rng)
-    elif sorted(ranking) != list(range(1, matrix.n + 1)):
-        raise ParameterError("supplied ranking must order every job exactly once")
-    selected = ranking[:g]
-    sub = np.stack([matrix.p[job - 1] for job in selected])
-    return EatSpec(
-        measure=kind,
-        k=k,
-        ranking=tuple(ranking),
-        g=g,
-        submatrix=ProblemMatrix(sub),
-    )
+    _, ranking = importance_scores(matrix, kind, rng)
+    sub = matrix.p[np.array(ranking[:g]) - 1]
+    return EatSpec(ranking=tuple(ranking), g=g, submatrix=ProblemMatrix(sub))

@@ -122,7 +122,7 @@ def _cmd_distance(args) -> int:
 def _cmd_build_eat(args) -> int:
     inst = load_instance_file(args.instance)
     eat = build_eat(inst.matrix, args.measure, args.ratio, rng=Random(args.seed))
-    text = write_instance(Instance(eat.submatrix, name=f"{inst.name}-eat"))
+    text = write_instance(Instance(eat.submatrix))
     if args.out:
         Path(args.out).write_text(text)
         report = sys.stdout
@@ -170,6 +170,8 @@ def _cmd_solve(args) -> int:
     trace_path = args.trace_out or f"{Path(args.instance).stem}_trace.csv"
     _check_out_path(trace_path)
     inst = load_instance_file(args.instance)
+    if inst.best_known == 0:  # every makespan is 0, so no relative error exists
+        raise ConfigError(f"{args.instance}: best-known makespan 0 leaves no relative error")
     algo = parse_algorithm(f"{'MFEA-I' if args.encoding == 'realkey' else 'P-MFEA'}"
                            f"/{args.pairing}/{args.transfer}")
     pair = algo.make_pair(inst)  # a random pairing's file is read from the working directory

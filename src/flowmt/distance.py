@@ -76,23 +76,32 @@ def itdm(Q, P) -> DistanceResult:
     return DistanceResult(d=d, t_star=t_star, b_star=b_star, cos_theta=cos)
 
 
-def zero_pad(eat, n: int) -> ProblemMatrix:
-    """Expand a compact auxiliary task back to n rows, zero-filling non-critical jobs.
-
-    Padding does not change any schedule's makespan over the selected jobs, so
-    the padded matrix is the size-matched stand-in used for distance work.
-    """
-    sub = eat.submatrix
-    out = np.zeros((n, sub.m), dtype=np.int64)
-    for row, job in zip(sub.p, eat.selected):
+def _critical_rows(S: Iterable[int], n: int) -> np.ndarray:
+    """The 0-based rows of the critical set S of an n-job task, sorted and each once."""
+    jobs = sorted(set(S))
+    if not jobs:
+        raise ParameterError("critical set must be non-empty")
+    for job in jobs:
         if not 1 <= job <= n:
             raise JobIndexError(f"critical job {job} outside 1..{n}")
-        out[job - 1] = row
+    return np.asarray(jobs) - 1
+
+
+def zero_pad(matrix: ProblemMatrix, S: Iterable[int]) -> ProblemMatrix:
+    """``matrix`` with every row outside the critical set S set to zero.
+
+    Zero rows do not change any schedule's makespan over the jobs in S, so
+    this is the compact auxiliary task's size-matched stand-in for distance
+    work.
+    """
+    rows = _critical_rows(S, matrix.n)
+    out = np.zeros_like(matrix.p)
+    out[rows] = matrix.p[rows]
     return ProblemMatrix(out)
 
 
 def cos_theta_lower_bound(P, S: Iterable[int]) -> float:
-    """Closed-form floor on cos(theta) between a padded critical-row task and P.
+    """Closed-form floor on cos(theta) between zero_pad(P, S) and P.
 
     Value: (m / (2*(n*m - 1))) * (n * ||Q||_F^2 / ||P||_F^2 - g), where Q keeps
     only the rows in S. Larger selected-row energy raises the floor, which is
@@ -102,15 +111,9 @@ def cos_theta_lower_bound(P, S: Iterable[int]) -> float:
     n, m = p.shape
     if n * m == 1:
         raise ParameterError("bound undefined for a 1x1 instance")
-    jobs = sorted(set(S))
-    if not jobs:
-        raise ParameterError("critical set must be non-empty")
-    for job in jobs:
-        if not 1 <= job <= n:
-            raise JobIndexError(f"critical job {job} outside 1..{n}")
-    g = len(jobs)
+    rows = p[_critical_rows(S, n)]
+    g = len(rows)
     p_sq = (p * p).sum()
-    rows = p[np.asarray(jobs) - 1]
     # one sum over the kept rows; processing times are integers, so every
     # partial sum is exact below 2^53 and the order of summation cannot show
     q_sq = (rows * rows).sum()

@@ -25,7 +25,7 @@ from pathlib import Path
 from random import Random
 from typing import TextIO
 
-from .auxiliary import MEASURES, build_eat, check_pairing, importance_scores
+from .auxiliary import MEASURES, check_pairing, critical_count, importance_scores
 from .distance import cos_theta_lower_bound, itdm, zero_pad
 from .emt import Engine, EngineConfig, ImpTsk, RndTsk, TaskPair
 from .errors import ConfigError, FlowmtError, ParameterError, ParseError
@@ -463,6 +463,11 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
     if not config.algorithms:
         raise ConfigError("config has no algorithm= line")
     instances = load_instance_files(config.instances, base)
+    for name, inst in instances.items():
+        if not inst.matrix.p.any():  # then every makespan, and so every reference, is 0
+            raise ConfigError(
+                f"instance {name!r}: every processing time is 0, so no relative error exists"
+            )
 
     # every cell's engine is built, and so checked, before any output exists
     engines, trace_owner = {}, {}
@@ -570,18 +575,28 @@ def distance_sweep(
     ratios: list[int],
     seed: int = 0,
 ) -> list[tuple]:
-    """One row per (instance, measure, ratio): distance, cosine and its floor."""
+    """One row per (instance, measure, ratio): distance, cosine and its floor.
+    Every measure, and every ratio on every instance, is checked before any
+    row is computed."""
+    kinds = [check_pairing(measure) for measure in measures]
+    for ratio in ratios:
+        check_pairing(k=ratio)
+    counts = []
+    for inst in instances:
+        try:
+            counts.append([critical_count(inst.n, ratio) for ratio in ratios])
+        except ParameterError as exc:
+            raise ParameterError(f"instance {inst.name!r}: {exc}") from None
     rows = []
-    for i_idx, inst in enumerate(instances):
-        for m_idx, measure in enumerate(measures):
+    for i_idx, (inst, gs) in enumerate(zip(instances, counts)):
+        for m_idx, kind in enumerate(kinds):
             rng = Random(seed + 1009 * i_idx + m_idx)
-            _, ranking = importance_scores(inst.matrix, measure, rng)
-            for ratio in ratios:
-                eat = build_eat(inst.matrix, measure, ratio, ranking=ranking)
-                padded = zero_pad(eat, inst.n)
-                res = itdm(padded, inst.matrix)
-                bound = cos_theta_lower_bound(inst.matrix, eat.S)
-                rows.append((inst.name, eat.measure, ratio, res.d, res.cos_theta, bound))
+            _, ranking = importance_scores(inst.matrix, kind, rng)
+            for ratio, g in zip(ratios, gs):
+                selected = ranking[:g]
+                res = itdm(zero_pad(inst.matrix, selected), inst.matrix)
+                bound = cos_theta_lower_bound(inst.matrix, selected)
+                rows.append((inst.name, kind, ratio, res.d, res.cos_theta, bound))
     return rows
 
 

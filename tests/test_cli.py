@@ -215,6 +215,24 @@ def test_distance_sweep_command(tmp_path, fig2_file, capsys):
         assert float(row["cos_theta"]) >= float(row["bound"]) - 1e-12
 
 
+def test_distance_sweep_names_the_instance_a_ratio_fails_on(tmp_path, capsys, monkeypatch):
+    # every ratio is checked on every instance before any row is computed
+    calls = []
+    monkeypatch.setattr("flowmt.harness.importance_scores", lambda *a: calls.append(1))
+    rng = Random(12)
+    for name, n in (("big", 30), ("small", 5)):
+        inst = Instance(random_matrix(rng, n, 3), name=name)
+        (tmp_path / f"{name}.txt").write_text(write_instance(inst))
+    config = tmp_path / "sweep.cfg"
+    config.write_text("instance=big.txt\ninstance=small.txt\nout=sweep.csv\n")
+    assert main(["distance-sweep", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: instance 'small': ratio 10% selects no jobs on 5 jobs\n"
+    assert calls == []
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_distance_sweep_without_instances_fails(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text("measures=lsp\nratios=20\nout=sweep.csv\n")
@@ -555,6 +573,22 @@ def test_solve_reports_relative_error_to_best_known(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     best = int(out[0].removeprefix("best_makespan = "))
     assert out[1] == f"re = {100.0 * (best - 20) / 20:.4f}"
+
+
+def test_solve_rejects_a_best_known_of_zero_before_running(tmp_path, capsys, monkeypatch):
+    # a taillard file whose best-known makespan is 0: no relative error exists
+    path = tmp_path / "z.txt"
+    path.write_text("3 2 5 0\n0 0 0\n0 0 0\n")
+    calls = []
+    monkeypatch.setattr(Engine, "run", lambda self: calls.append(1))
+    argv = ["solve", str(path), "--pairing", "lsp-40", "--generations", "2",
+            "--trace-out", str(tmp_path / "t.csv")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "best-known makespan 0" in err and str(path) in err
+    assert calls == []
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_metrics_writes_out_file(tmp_path, capsys):

@@ -134,37 +134,42 @@ class TestItdm:
 class TestZeroPad:
     def test_full_selection_returns_original(self, fig2_matrix):
         eat = build_eat(fig2_matrix, "lsp", 90)
-        padded = zero_pad(eat, 10)
+        padded = zero_pad(fig2_matrix, eat.selected)
         for job in eat.selected:
             assert (padded.p[job - 1] == fig2_matrix.p[job - 1]).all()
 
     def test_unselected_rows_zero(self, fig2_matrix):
         eat = build_eat(fig2_matrix, "lsp", 40)
-        padded = zero_pad(eat, 10)
+        padded = zero_pad(fig2_matrix, eat.selected)
         for job in range(1, 11):
-            if job in eat.S:
+            if job in eat.selected:
                 assert (padded.p[job - 1] == fig2_matrix.p[job - 1]).all()
             else:
                 assert (padded.p[job - 1] == 0).all()
 
     def test_padding_preserves_makespan(self, fig2_matrix):
         eat = build_eat(fig2_matrix, "lsp", 40)
-        padded = zero_pad(eat, 10)
+        padded = zero_pad(fig2_matrix, eat.selected)
         rng = Random(17)
-        jobs = list(eat.S)
+        jobs = list(eat.selected)
         sub_index = {job: i + 1 for i, job in enumerate(eat.selected)}
         for _ in range(10):
             rng.shuffle(jobs)
             sub_perm = [sub_index[job] for job in jobs]
             assert makespan(padded, jobs) == makespan(eat.submatrix, sub_perm)
             # padding zeros anywhere in a full permutation changes nothing
-            full = jobs + [j for j in range(1, 11) if j not in eat.S]
+            full = jobs + [j for j in range(1, 11) if j not in eat.selected]
             assert makespan(padded, full) == makespan(eat.submatrix, sub_perm)
 
     def test_out_of_range_selection(self, fig2_matrix):
-        eat = build_eat(fig2_matrix, "lsp", 40)
         with pytest.raises(JobIndexError):
-            zero_pad(eat, 8)
+            zero_pad(fig2_matrix, [4, 11])
+
+    def test_keeps_times_above_float_precision(self):
+        # 2^53 + 1 has no float64; ProblemMatrix accepts times up to 2^63 / size
+        big = 2**53 + 1
+        padded = zero_pad(ProblemMatrix(np.array([[big, 1], [2, 3]])), [1])
+        assert padded.p.tolist() == [[big, 1], [0, 0]]
 
 
 class TestCosThetaLowerBound:
@@ -183,8 +188,8 @@ class TestCosThetaLowerBound:
         for _ in range(100):
             mat = random_matrix(rng, 20, 5)
             eat = build_eat(mat, "lsp", rng.choice(range(10, 100, 10)))
-            res = itdm(zero_pad(eat, 20), mat)
-            bound = cos_theta_lower_bound(mat, eat.S)
+            res = itdm(zero_pad(mat, eat.selected), mat)
+            bound = cos_theta_lower_bound(mat, eat.selected)
             assert res.cos_theta >= bound - 1e-12
 
     def test_lsp_set_maximizes_bound(self):

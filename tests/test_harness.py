@@ -448,6 +448,18 @@ class TestRunCampaign:
         assert not runs_csv.exists() or read_runs_csv(runs_csv) == []
         assert not list(tmp_path.glob("out/traces/*"))
 
+    def test_all_zero_instance_fails_before_any_cell(self, tmp_path, monkeypatch):
+        # every makespan is 0, so no relative error exists: the campaign
+        # could journal every cell and still never write metrics.csv
+        (tmp_path / "zero.txt").write_text("3 2\n0 0\n0 0\n0 0\n")
+        calls = []
+        monkeypatch.setattr(Engine, "run", lambda self: calls.append(1))
+        config = small_config(tmp_path, instances=["zero.txt"], algorithms=["MFEA-I/LSP-40/IK"])
+        with pytest.raises(ConfigError, match="'zero'.*every processing time is 0"):
+            run_campaign(config)
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_population_below_the_transfer_count_runs(self, campaign_dir):
         config = small_config(
             campaign_dir, algorithms=["MFEA-I/LSP-20/RI"], population=4, max_generations=6

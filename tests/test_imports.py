@@ -14,6 +14,10 @@ Every private helper of the package, a module-level ``_function`` or a class's
 ``_method``, must be read somewhere in ``src/flowmt``: as a loaded name (a call,
 an import's later use) or as a loaded attribute (``self._method``), so a helper
 whose last caller is deleted goes with it.
+
+Every ``fm.<name>`` that the benchmark scripts in ``perfbench/`` read must
+exist on the ``flowmt`` package, so deleting a name the benchmark drives fails
+here rather than only when the benchmark runs.
 """
 
 import ast
@@ -132,3 +136,31 @@ def test_helper_scan_flags_only_helpers_never_read():
 
 def test_every_private_helper_is_read():
     assert unread_private_helpers({path.name: path.read_text() for path in PACKAGE}) == []
+
+
+def benchmark_names(sources: dict[str, str]) -> list[str]:
+    """Every ``fm.<name>`` read in ``sources``, file name -> text, dunders aside."""
+    names = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "fm" and not node.attr.startswith("__")):
+                names.add(node.attr)
+    return sorted(names)
+
+
+def test_benchmark_scan_finds_only_attributes_of_fm():
+    source = "fm = load()\nfm.Engine(fm.emt.x).run()\nprint(fm.__file__, other.neh)\n"
+    assert benchmark_names({"a.py": source}) == ["Engine", "emt"]
+
+
+def test_benchmark_names_exist():
+    import flowmt
+    import flowmt.cli
+
+    sources = {path.name: path.read_text() for path in (ROOT / "perfbench").glob("*.py")}
+    names = benchmark_names(sources)
+    assert {"Engine", "build_eat", "distance_sweep", "emt"} <= set(names)
+    assert [name for name in names if not hasattr(flowmt, name)] == []
+    assert callable(flowmt.cli.main)
+    assert "run" in flowmt.emt.Engine.__dict__  # the campaign workload wraps it

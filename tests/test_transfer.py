@@ -128,7 +128,7 @@ class TestPatch:
         pi_eat = [5, 9, 4, 7]
         out = patch("ai", pi_eat, list(eat.remaining), fig2_matrix, rng)
         assert sorted(out) == list(range(1, 11))
-        assert project_to_eat(out, eat.S) == pi_eat
+        assert project_to_eat(out, eat.selected) == pi_eat
 
     def test_ai_requires_rng(self, fig2_matrix):
         with pytest.raises(ParameterError):
@@ -153,7 +153,7 @@ class TestPatch:
         eat = build_eat(fig2_matrix, "lsp", 40)
         pi_eat = [9, 4, 7, 5]
         out = patch(strategy, pi_eat, list(eat.remaining), fig2_matrix, Random(47))
-        assert project_to_eat(out, eat.S) == pi_eat
+        assert project_to_eat(out, eat.selected) == pi_eat
         assert sorted(out) == list(range(1, 11))
 
     def test_overlap_rejected(self, fig2_matrix):
