@@ -18,6 +18,7 @@ toward the lower job index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -67,15 +68,11 @@ def check_pairing(measure: str | None = None, k: int | None = None) -> str | Non
     return kind
 
 
-def _kk1_scores(p: np.ndarray) -> np.ndarray:
-    n, m = p.shape
-    base = (m - 1) * (m - 2) / 2.0
-    j = np.arange(1, m + 1)
-    w_a = base + m - j
-    w_b = base + j - 1
-    a = p @ w_a
-    b = p @ w_b
-    return np.minimum(a, b)
+def _kk1_scores(rows: list, m: int) -> list[int]:
+    base = (m - 1) * (m - 2) // 2  # (m-1)(m-2) is even
+    w_a = [base + m - j for j in range(1, m + 1)]
+    w_b = w_a[::-1]
+    return [min(sum(map(mul, row, w_a)), sum(map(mul, row, w_b))) for row in rows]
 
 
 def _kk2_scores(p: np.ndarray) -> np.ndarray:
@@ -95,24 +92,28 @@ def _kk2_scores(p: np.ndarray) -> np.ndarray:
 def importance_scores(
     matrix: ProblemMatrix, measure: str, rng=None
 ) -> tuple[list[float], list[int]]:
-    """Per-job scores plus the full descending-importance ranking."""
+    """Per-job scores plus the full descending-importance ranking.
+
+    lsp, lst and kk1 are integer sums, ranked exactly from Python ints: in
+    float64, sums above 2^53 can round to ties and rank by job index. kk2's
+    weights are fractional, so it is scored and ranked in float64.
+    """
     kind = check_pairing(measure)
-    p = matrix.p.astype(np.float64)
     n = matrix.n
     jobs = range(1, n + 1)
 
     if kind in _VALUE_MEASURES:
+        rows = matrix.rows()
         if kind == "lsp":
-            scores = (p * p).sum(axis=1)
+            keys = [sum(map(mul, row, row)) for row in rows]
         elif kind == "lst":
-            scores = p.sum(axis=1)
+            keys = [sum(row) for row in rows]
         elif kind == "kk1":
-            scores = _kk1_scores(p)
+            keys = _kk1_scores(rows, matrix.m)
         else:
-            scores = _kk2_scores(p)
-        values = [float(s) for s in scores]
-        ranking = sorted(jobs, key=lambda job: (-values[job - 1], job))
-        return values, ranking
+            keys = _kk2_scores(matrix.p).tolist()
+        ranking = sorted(jobs, key=lambda job: (-keys[job - 1], job))
+        return [float(key) for key in keys], ranking
 
     if kind == "rnd":
         if rng is None:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .auxiliary import build_eat, check_pairing, critical_count
 from .errors import ConfigError, UnderfullPoolError
 from .instance import Instance, _makespans
-from .search import _draw_walk, _insert_best, _position_pairs, _walk_minima
+from .search import _draw_walk, _insert_best, _past, _position_pairs, _walk_minima
 from .transfer import default_key_values, perm_to_vector, project_to_eat, rov_decode
 
 __all__ = [
@@ -42,14 +42,18 @@ __all__ = [
 TASK_EXP = "EXP"
 TASK_EAT = "EAT"
 
-# A generation's INSERT walks are scored in batches of about this many packed
-# int32 cells (512 KB) per task. At 100x20 the batch kernel costs about 63 µs
-# a row for one 51-row walk, 5.6 µs at 1000 rows, 5.0 µs at the cap's 1310
-# and 3.9 µs at twice that. The cap bounds how long scoring runs past the
-# wall-clock deadline: scored only at the end of a generation, 2000-move
-# walks at 100x20 overrun a 0.3 s budget by about 0.3 s. It also bounds
-# memory: uncapped, solve-ri-100x20 peaks at 42.8 MB instead of 42.0 MB.
-_WALK_BATCH_CELLS = 1 << 17
+# A generation's INSERT walks are scored in batches of about this many
+# completion-table cells (rows x jobs x machines) per task. The batch kernel
+# makes about 2*n*m numpy calls whatever the batch's width, so a cap on cells
+# keeps one flush's time and memory about the same at every size. At 100x20
+# it allows about 4190 rows, so a default generation's 2450-2860 walk rows of
+# a task make one batch; the kernel takes 5.6 µs a row in 1326-row batches,
+# 3.1 µs in 2499 and 3.0 µs in 4182 (12 ms). At 500x20 it allows about 839
+# rows: 24 µs a row (21 ms, 1.7 MB packed) in 867-row batches against 38 µs
+# in 306. The cap also bounds how far scoring runs past the deadline:
+# 2000-move walks at 100x20 overran a 0.3 s budget by 8-32 ms, and real-key/RI
+# runs at 500x20 with budgets of 1.2-2.2 s by at most 43 ms (max RSS 41.8 MB).
+_WALK_BATCH_CELLS = 1 << 23
 
 # The fixed MFEA protocol (Gupta, Ong & Feng 2016) that every engine runs.
 _RMP = 0.3  # random mating probability of a cross-skill pair
@@ -168,10 +172,6 @@ class RunResult:
     overrun_s: float = 0.0  # time past the deadline; zeroed like elapsed_s
 
 
-def _past(deadline: float | None) -> bool:
-    return deadline is not None and time.perf_counter() >= deadline
-
-
 def _rank_key(task: str):
     """Rank order on one task: lowest objective, then first created (lowest uid)."""
     return lambda ind: (ind.objectives[task], ind.uid)
@@ -231,7 +231,10 @@ class Engine:
         return tuple(seq)
 
     def decode_task(self, task: str, genotype: tuple) -> list[int]:
-        full = self.decode_full(genotype)
+        return self._project(task, self.decode_full(genotype))
+
+    def _project(self, task: str, full: list[int]) -> list[int]:
+        """A full decode as a sequence of the task's own jobs."""
         jobs = self.tasks[task][1]
         return full if jobs is None else project_to_eat(full, jobs)
 
@@ -256,8 +259,9 @@ class Engine:
                 rng.shuffle(seq)
                 genotype = tuple(seq)
             pop.append(Individual(genotype=genotype, skill=TASK_EXP, uid=self._next_uid()))
+        fulls = [self.decode_full(ind.genotype) for ind in pop]
         for task, (mat, _) in self.tasks.items():
-            seqs = [self.decode_task(task, ind.genotype) for ind in pop]
+            seqs = [self._project(task, full) for full in fulls]
             for ind, value in zip(pop, _makespans(mat.p, seqs).tolist()):
                 ind.objectives[task] = value
         ranks = {task: self._task_ranks(pop, task) for task in (TASK_EXP, TASK_EAT)}
@@ -365,31 +369,30 @@ class Engine:
             Individual(genotype=g2, skill=s2, uid=self._next_uid()),
         ]
 
-    def draw(self, ind: Individual, rng: Random) -> array:
-        """The individual's INSERT walk (``ls_intensity`` moves) on its own
-        task, packed for ``improve``."""
-        seq = self.decode_task(ind.skill, ind.genotype)
-        return _draw_walk(seq, self.config.ls_intensity, rng)
+    def draw(self, ind: Individual, rng: Random) -> tuple[list[int], array]:
+        """The individual's full decode, and its INSERT walk (``ls_intensity``
+        moves) on its own task packed for ``improve``."""
+        full = self.decode_full(ind.genotype)
+        return full, _draw_walk(self._project(ind.skill, full), self.config.ls_intensity, rng)
 
-    def improve(self, kids: list[Individual], rows: array) -> None:
+    def improve(self, kids: list[Individual], fulls: list[list[int]], rows: array) -> None:
         """Score the walks of ``kids``, all skilled at one task and drawn in
-        order by ``draw`` into ``rows``, in one batch.
+        order by ``draw`` into ``fulls`` and ``rows``, in one batch.
 
         Each kid's objective is the first minimum of its walk, and its
-        genotype is re-aligned so decoding reproduces that sequence.
+        genotype is re-aligned so decoding reproduces that sequence; jobs
+        outside the task keep their places in the kid's full decode.
         """
         task = kids[0].skill
         mat, jobs = self.tasks[task]
         length = self.D if jobs is None else len(jobs)
         seqs, values = _walk_minima(mat.p, rows, len(kids), length)
-        for ind, seq, value in zip(kids, seqs, values):
+        for ind, full, seq, value in zip(kids, fulls, seqs, values):
             ind.objectives[task] = value
-            if jobs is None:
-                full = seq
-            else:
+            if jobs is not None:
                 it = iter(seq)
-                full = [next(it) if job in jobs else job for job in self.decode_full(ind.genotype)]
-            ind.genotype = self.encode(ind.genotype, full)
+                seq = [next(it) if job in jobs else job for job in full]
+            ind.genotype = self.encode(ind.genotype, seq)
 
     def explicit_transfer(
         self, population: list[Individual], generation: int, deadline: float | None = None
@@ -400,18 +403,21 @@ class Engine:
         ``_TRANSFER_COUNT`` donors; the remaining jobs are inserted in
         descending importance at their best positions, in one batch over all
         donors that also yields each offspring's makespan.
-        ``deadline`` is checked once, before the batch, which is the unit of
-        work: five donors at 100x20 take about 25-45 ms, where one patch alone
-        took about 26 ms before batching.
+        ``deadline`` is checked before each insertion step, and once it has
+        passed the transfer yields no offspring: five donors take about
+        25-45 ms at 100x20 but about 0.45 s at 500x20, where a step takes
+        about 1 ms.
         """
         if self.config.transfer_mode != "ri" or generation % _TRANSFER_PERIOD != 0:
             return []
         donors = [ind for ind in population if ind.skill == TASK_EAT]
-        if not donors or _past(deadline):
+        if not donors:
             return []
         donors.sort(key=_rank_key(TASK_EAT))
         skeletons = [self.decode_task(TASK_EAT, ind.genotype) for ind in donors[:_TRANSFER_COUNT]]
-        seqs, values = _insert_best(self.pair.exp.matrix, skeletons, self.remaining, latest_ties=False)
+        seqs, values = _insert_best(
+            self.pair.exp.matrix, skeletons, self.remaining, latest_ties=False, deadline=deadline
+        )
         keys = default_key_values(self.D)
         return [
             Individual(
@@ -467,6 +473,7 @@ class Engine:
 
         rng = Random(config.rng_seed)
         pop = self.initialize(rng)
+        machines = self.pair.exp.m  # both tasks have the expensive task's machines
 
         trace = [TracePoint(elapsed(), 0, self.best(pop).objectives[TASK_EXP])]
 
@@ -476,22 +483,24 @@ class Engine:
             order = list(range(len(pop)))
             rng.shuffle(order)
             offspring = []
-            pending = {task: ([], array("i")) for task in self.tasks}
+            pending = {task: ([], [], array("i")) for task in self.tasks}
             for a, b in zip(order[::2], order[1::2]):
                 if _past(deadline):
                     break  # select over what this generation has made so far
                 for kid in self.mate(pop[a], pop[b], rng):
-                    kids, rows = pending[kid.skill]
+                    kids, fulls, rows = pending[kid.skill]
+                    full, walk = self.draw(kid, rng)
                     kids.append(kid)
-                    rows.extend(self.draw(kid, rng))
+                    fulls.append(full)
+                    rows.extend(walk)
                     offspring.append(kid)
-                    if len(rows) >= _WALK_BATCH_CELLS:
-                        self.improve(kids, rows)
-                        pending[kid.skill] = ([], array("i"))
+                    if len(rows) * machines >= _WALK_BATCH_CELLS:
+                        self.improve(kids, fulls, rows)
+                        pending[kid.skill] = ([], [], array("i"))
             for task in self.tasks:  # popped, so each batch is freed once scored
-                kids, rows = pending.pop(task)
+                kids, fulls, rows = pending.pop(task)
                 if kids:
-                    self.improve(kids, rows)
+                    self.improve(kids, fulls, rows)
             offspring.extend(self.explicit_transfer(pop, gen, deadline))
             pop = self.select(pop + offspring)
             trace.append(TracePoint(elapsed(), gen, self.best(pop).objectives[TASK_EXP]))

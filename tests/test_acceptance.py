@@ -344,7 +344,8 @@ def test_c10_engine_invariants(tmp_path, monkeypatch):
                 kid.objectives[kid.skill] = makespan(
                     task_matrix, engine.decode_task(kid.skill, kid.genotype)
                 )
-                engine.improve([kid], engine.draw(kid, grng))
+                full, walk = engine.draw(kid, grng)
+                engine.improve([kid], [full], walk)
                 offspring.append(kid)
         donors = sorted(
             (ind for ind in pop if ind.skill == TASK_EAT),

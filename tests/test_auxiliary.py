@@ -35,6 +35,21 @@ class TestValueMeasures:
         assert len(set(scores)) == 1
         assert ranking == [1, 2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize(
+        "measure,rows",
+        [
+            ("lsp", [[2**27 + 1, 0], [2**27 + 1, 1]]),
+            ("lst", [[2**53, 0], [2**53, 1]]),
+            ("kk1", [[2**55, 0, 0], [2**55, 0, 1]]),  # scores 2^55 and 2^55 + 3
+        ],
+    )
+    def test_sums_past_float_precision_rank_exactly(self, measure, rows):
+        # each pair of sums rounds to one float64, which would tie them and
+        # put job 1 first; the second job's sum is the larger
+        scores, ranking = importance_scores(ProblemMatrix(rows), measure)
+        assert ranking == [2, 1]
+        assert all(type(score) is float for score in scores)
+
     def test_kk1_hand_computed(self):
         # m=3: base = (2)(1)/2 = 1; a-weights [3, 2, 1], b-weights [1, 2, 3]
         mat = ProblemMatrix([[1, 2, 3], [3, 2, 1]])

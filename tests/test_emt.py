@@ -285,7 +285,8 @@ class TestImprove:
         pop = eng.initialize(Random(7))
         ind = pop[0]
         before = ind.genotype
-        eng.improve([ind], eng.draw(ind, Random(8)))
+        full, walk = eng.draw(ind, Random(8))
+        eng.improve([ind], [full], walk)
         assert ind.genotype == before
 
     def test_alignment_contract(self, fig2_matrix):
@@ -293,7 +294,8 @@ class TestImprove:
         pop = eng.initialize(Random(9))
         rng = Random(10)
         for ind in pop:
-            eng.improve([ind], eng.draw(ind, rng))
+            full, walk = eng.draw(ind, rng)
+            eng.improve([ind], [full], walk)
             # decoding reproduces the improved sequence: the stored objective
             # must equal re-evaluating the genotype from scratch
             assert ind.objectives[ind.skill] == rescore(eng, ind.skill, ind.genotype)
@@ -309,7 +311,8 @@ class TestImprove:
             for kid in kids:
                 kid.objectives[kid.skill] = rescore(eng, kid.skill, kid.genotype)
                 before = kid.objectives[kid.skill]
-                eng.improve([kid], eng.draw(kid, rng))
+                full, walk = eng.draw(kid, rng)
+                eng.improve([kid], [full], walk)
                 assert kid.objectives[kid.skill] <= before
 
     def test_eat_improve_keeps_noncritical_positions(self, fig2_matrix):
@@ -319,7 +322,8 @@ class TestImprove:
         ind = Individual(genotype=genotype, skill=TASK_EAT, uid=eng._next_uid())
         ind.objectives[TASK_EAT] = rescore(eng, TASK_EAT, genotype)
         before_full = rov_decode(genotype)
-        eng.improve([ind], eng.draw(ind, Random(15)))
+        full, walk = eng.draw(ind, Random(15))
+        eng.improve([ind], [full], walk)
         after_full = rov_decode(ind.genotype)
         critical = eng.tasks[TASK_EAT][1]
         for pos, (a, b) in enumerate(zip(before_full, after_full)):
@@ -390,6 +394,21 @@ class TestExplicitTransfer:
         assert eng._uid == uid
         later = time.perf_counter() + 60.0
         assert eng.explicit_transfer(pop, 5, deadline=later) != []
+
+    def test_deadline_inside_the_batch_stops_it(self):
+        # five 500x20 patches take about 0.45 s as one batch, and one
+        # insertion step about 1 ms; the deadline is checked between steps,
+        # so a transfer started 50 ms before it gives up soon after it
+        exp = generate_taillard(500, 20, 1539989115)
+        config = EngineConfig(population=20, transfer_mode="ri", max_generations=1, rng_seed=1)
+        eng = Engine(TaskPair(exp, ImpTsk("lsp", 20)), config)
+        pop = eng.initialize(Random(1))
+        assert sum(ind.skill == TASK_EAT for ind in pop) >= flowmt.emt._TRANSFER_COUNT
+        uid = eng._uid
+        start = time.perf_counter()
+        assert eng.explicit_transfer(pop, 5, deadline=start + 0.05) == []
+        assert time.perf_counter() - start < 0.15
+        assert eng._uid == uid
 
 
 class TestSelect:
@@ -543,8 +562,8 @@ class TestRun:
             )
             return inds
 
-        def record_improve(kids, rows):
-            improve(kids, rows)
+        def record_improve(kids, fulls, rows):
+            improve(kids, fulls, rows)
             record(kids, selections + 1)
 
         def record_transfer(*args):
@@ -700,9 +719,11 @@ class TestRun:
         assert result.overrun_s < 0.2
 
     def test_walk_batches_straddling_the_cap_score_every_kid(self, monkeypatch):
-        # 50 jobs and 1000 moves: an expensive-task walk is 50050 int32 cells,
-        # so a batch reaches the cap partway through its third walk, and a
-        # 10-job auxiliary walk (10010 cells) partway through its fourteenth
+        # 50 jobs, 5 machines and 1000 moves: an expensive-task walk fills
+        # 250250 completion-table cells, so under a cap of 2^19 a batch reaches
+        # it partway through its third walk, and a 10-job auxiliary walk
+        # (50050 cells) partway through its eleventh
+        monkeypatch.setattr(flowmt.emt, "_WALK_BATCH_CELLS", 1 << 19)
         exp = generate_taillard(50, 5, 1958948863)
         config = EngineConfig(
             population=30, ls_intensity=1000, encoding="perm", transfer_mode="ik",
@@ -716,9 +737,9 @@ class TestRun:
             improve, select = eng.improve, eng.select
             batches, offspring = [], []
 
-            def record_improve(kids, rows):
-                batches.append((kids[0].skill, len(kids), len(rows)))
-                improve(kids, rows)
+            def record_improve(kids, fulls, rows):
+                batches.append((kids[0].skill, len(kids), len(rows) * exp.m))
+                improve(kids, fulls, rows)
 
             def record_select(pool):
                 kids = pool[config.population:]
@@ -748,6 +769,49 @@ class TestRun:
         assert alone_offspring == offspring
         assert alone.best_perm == result.best_perm
         assert alone.trace == result.trace
+
+    def test_a_default_100x20_generation_scores_each_task_in_one_batch(self):
+        exp = generate_taillard(100, 20, 1539989115)
+        eng = Engine(TaskPair(exp, ImpTsk("lsp", 20)), EngineConfig(max_generations=1, rng_seed=1))
+        improve = eng.improve
+        batches = []
+
+        def record_improve(kids, *batch):
+            batches.append(kids[0].skill)
+            improve(kids, *batch)
+
+        eng.improve = record_improve
+        eng.run()
+        assert sorted(batches) == [TASK_EAT, TASK_EXP]
+
+    def test_each_genotype_is_decoded_once(self, monkeypatch):
+        # wrapped before the engine is built, as the benchmark's tracer does:
+        # initialization decodes each individual once for both tasks, each
+        # offspring is decoded once for its walk and its re-encoding, each
+        # donor once for its patch (one patched offspring each), and the
+        # champion once for the result
+        real = flowmt.emt.rov_decode
+        decodes = []
+        monkeypatch.setattr(flowmt.emt, "rov_decode", lambda x: decodes.append(1) or real(x))
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 2)
+        exp = generate_taillard(20, 5, 873654221)
+        config = EngineConfig(
+            population=10, ls_intensity=3, transfer_mode="ri", max_generations=4, rng_seed=4
+        )
+        eng = Engine(TaskPair(exp, ImpTsk("lsp", 20)), config)
+        mate, transfer = eng.mate, eng.explicit_transfer
+        offspring, patched = [], []
+
+        def record(made, out):
+            made.extend(out)
+            return out
+
+        eng.mate = lambda *args: record(offspring, mate(*args))
+        eng.explicit_transfer = lambda *args: record(patched, transfer(*args))
+        eng.run()
+        assert any(kid.skill == TASK_EAT for kid in offspring)
+        assert len(patched) > 0
+        assert len(decodes) == config.population + len(offspring) + len(patched) + 1
 
     @pytest.mark.parametrize("ls", [0, 5])
     def test_each_offspring_is_evaluated_once(self, fig2_matrix, monkeypatch, ls):
