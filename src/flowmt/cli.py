@@ -209,7 +209,14 @@ def _cmd_distance_sweep(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    rows = group_metrics(read_runs_csv(args.records))
+    records = read_runs_csv(args.records)
+    for r in records:
+        if r.re is None:  # a journal row of a campaign still running, or crashed
+            raise ConfigError(
+                f"{args.records}: run {r.run_index} of {r.algorithm} on {r.instance} "
+                "has no relative error; its campaign has not finished"
+            )
+    rows = group_metrics(records)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             write_metrics_csv(fh, rows)

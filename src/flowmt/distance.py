@@ -105,7 +105,8 @@ def cos_theta_lower_bound(P, S: Iterable[int]) -> float:
 
     Value: (m / (2*(n*m - 1))) * (n * ||Q||_F^2 / ||P||_F^2 - g), where Q keeps
     only the rows in S. Larger selected-row energy raises the floor, which is
-    why top squared-sum rows are the best critical set.
+    why top squared-sum rows are the best critical set. An instance whose
+    times are all 0 has no floor: the ratio is 0/0.
     """
     p = _as_array(P)
     n, m = p.shape
@@ -114,6 +115,8 @@ def cos_theta_lower_bound(P, S: Iterable[int]) -> float:
     rows = p[_critical_rows(S, n)]
     g = len(rows)
     p_sq = (p * p).sum()
+    if p_sq == 0:
+        raise ParameterError("bound undefined for an instance whose times are all 0")
     # one sum over the kept rows; processing times are integers, so every
     # partial sum is exact below 2^53 and the order of summation cannot show
     q_sq = (rows * rows).sum()

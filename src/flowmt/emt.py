@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .auxiliary import build_eat, check_pairing, critical_count
 from .errors import ConfigError, UnderfullPoolError
 from .instance import Instance, _makespans
-from .search import _draw_walk, _insert_best, _past, _position_pairs, _walk_minima
+from .search import _draw_walk, _insert_best, _position_pairs, _walk_minima
 from .transfer import default_key_values, perm_to_vector, project_to_eat, rov_decode
 
 __all__ = [
@@ -141,11 +141,6 @@ class EngineConfig:
         if self.max_generations is not None and self.max_generations < 0:
             raise ConfigError("generation limit must be >= 0")
 
-    @property
-    def deterministic(self) -> bool:
-        """Generation-count termination only: reported times are zeroed."""
-        return self.max_generations is not None and self.time_budget is None
-
 
 @dataclass
 class Individual:
@@ -170,6 +165,24 @@ class RunResult:
     elapsed_s: float
     stopped_by: str = "generations"  # "generations" or "budget"
     overrun_s: float = 0.0  # time past the deadline; zeroed like elapsed_s
+
+
+class _Clock:
+    """One run's wall clock: its start, its deadline, and the rule that a run
+    without a time budget, which then has a generation limit, reports zero
+    times, so that its results are reproducible."""
+
+    def __init__(self, time_budget: float | None):
+        self.start = time.perf_counter()
+        self.deadline = None if time_budget is None else self.start + time_budget
+
+    def past(self) -> bool:
+        """Whether the deadline has passed; never, for a run without one."""
+        return self.deadline is not None and time.perf_counter() >= self.deadline
+
+    def elapsed(self) -> float:
+        """Seconds since the start; 0.0 for a run without a deadline."""
+        return 0.0 if self.deadline is None else time.perf_counter() - self.start
 
 
 def _rank_key(task: str):
@@ -395,7 +408,7 @@ class Engine:
             ind.genotype = self.encode(ind.genotype, seq)
 
     def explicit_transfer(
-        self, population: list[Individual], generation: int, deadline: float | None = None
+        self, population: list[Individual], generation: int, stop=None
     ) -> list[Individual]:
         """Patch the best auxiliary-skill schedules into expensive-task offspring.
 
@@ -403,8 +416,9 @@ class Engine:
         ``_TRANSFER_COUNT`` donors; the remaining jobs are inserted in
         descending importance at their best positions, in one batch over all
         donors that also yields each offspring's makespan.
-        ``deadline`` is checked before each insertion step, and once it has
-        passed the transfer yields no offspring: five donors take about
+        ``stop``, a zero-argument check such as the run clock's ``past``, is
+        called before each insertion step, and once it returns true the
+        transfer yields no offspring and uses no uid: five donors take about
         25-45 ms at 100x20 but about 0.45 s at 500x20, where a step takes
         about 1 ms.
         """
@@ -416,7 +430,7 @@ class Engine:
         donors.sort(key=_rank_key(TASK_EAT))
         skeletons = [self.decode_task(TASK_EAT, ind.genotype) for ind in donors[:_TRANSFER_COUNT]]
         seqs, values = _insert_best(
-            self.pair.exp.matrix, skeletons, self.remaining, latest_ties=False, deadline=deadline
+            self.pair.exp.matrix, skeletons, self.remaining, latest_ties=False, stop=stop
         )
         keys = default_key_values(self.D)
         return [
@@ -457,35 +471,23 @@ class Engine:
 
     def run(self) -> RunResult:
         config = self.config
-        start = time.perf_counter()
-        deadline = None if config.time_budget is None else start + config.time_budget
-
-        def elapsed() -> float:
-            return 0.0 if config.deterministic else time.perf_counter() - start
-
-        def stop_reason(done_generations: int) -> str | None:
-            if (
-                config.max_generations is not None
-                and done_generations >= config.max_generations
-            ):
-                return "generations"
-            return "budget" if _past(deadline) else None
-
+        clock = _Clock(config.time_budget)
+        limit = inf if config.max_generations is None else config.max_generations
         rng = Random(config.rng_seed)
         pop = self.initialize(rng)
         machines = self.pair.exp.m  # both tasks have the expensive task's machines
 
-        trace = [TracePoint(elapsed(), 0, self.best(pop).objectives[TASK_EXP])]
+        trace = [TracePoint(clock.elapsed(), 0, self.best(pop).objectives[TASK_EXP])]
 
         gen = 0
-        while (stopped_by := stop_reason(gen)) is None:
+        while gen < limit and not clock.past():  # a run at its limit stops by generations
             gen += 1
             order = list(range(len(pop)))
             rng.shuffle(order)
             offspring = []
             pending = {task: ([], [], array("i")) for task in self.tasks}
             for a, b in zip(order[::2], order[1::2]):
-                if _past(deadline):
+                if clock.past():
                     break  # select over what this generation has made so far
                 for kid in self.mate(pop[a], pop[b], rng):
                     kids, fulls, rows = pending[kid.skill]
@@ -501,11 +503,11 @@ class Engine:
                 kids, fulls, rows = pending.pop(task)
                 if kids:
                     self.improve(kids, fulls, rows)
-            offspring.extend(self.explicit_transfer(pop, gen, deadline))
+            offspring.extend(self.explicit_transfer(pop, gen, clock.past))
             pop = self.select(pop + offspring)
-            trace.append(TracePoint(elapsed(), gen, self.best(pop).objectives[TASK_EXP]))
+            trace.append(TracePoint(clock.elapsed(), gen, self.best(pop).objectives[TASK_EXP]))
 
-        elapsed_s = elapsed()  # a deadline implies a timed run, so this is the real time
+        elapsed_s = clock.elapsed()  # a deadline implies a timed run, so this is the real time
         champion = self.best(pop)
         return RunResult(
             best_perm=tuple(self.decode_task(TASK_EXP, champion.genotype)),
@@ -513,6 +515,6 @@ class Engine:
             trace=trace,
             generations=gen,
             elapsed_s=elapsed_s,
-            stopped_by=stopped_by,
-            overrun_s=0.0 if deadline is None else max(0.0, elapsed_s - config.time_budget),
+            stopped_by="generations" if gen >= limit else "budget",
+            overrun_s=0.0 if clock.deadline is None else max(0.0, elapsed_s - config.time_budget),
         )

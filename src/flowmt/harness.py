@@ -576,14 +576,16 @@ def distance_sweep(
     seed: int = 0,
 ) -> list[tuple]:
     """One row per (instance, measure, ratio): distance, cosine and its floor.
-    Every measure, and every ratio on every instance, is checked before any
-    row is computed."""
+    Every measure, every instance, and every ratio on every instance are
+    checked before any row is computed."""
     kinds = [check_pairing(measure) for measure in measures]
     for ratio in ratios:
         check_pairing(k=ratio)
     counts = []
     for inst in instances:
         try:
+            if not inst.matrix.p.any():  # then no cosine floor exists (0/0)
+                raise ParameterError("every processing time is 0, so no cosine bound exists")
             counts.append([critical_count(inst.n, ratio) for ratio in ratios])
         except ParameterError as exc:
             raise ParameterError(f"instance {inst.name!r}: {exc}") from None

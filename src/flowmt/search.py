@@ -5,7 +5,6 @@ auxiliary tasks."""
 from __future__ import annotations
 
 import math
-import time
 from array import array
 from typing import Sequence
 
@@ -17,21 +16,17 @@ from .instance import ProblemMatrix, _machine_completions, _makespan_unchecked, 
 __all__ = ["neh", "solve_eat"]
 
 
-def _past(deadline: float | None) -> bool:
-    return deadline is not None and time.perf_counter() >= deadline
-
-
 def _insert_best(
     matrix: ProblemMatrix,
     rows: Sequence[Sequence[int]],
     jobs: Sequence[int],
     latest_ties: bool,
-    deadline: float | None = None,
+    stop=None,
 ) -> tuple[list[list[int]], list[int]]:
     """Grow a batch of one or more equal-length partial sequences by the
     same ``jobs``; returns the grown rows and each one's makespan, or two
-    empty lists when the ``perf_counter`` time ``deadline`` passes before
-    an insertion step.
+    empty lists when ``stop``, a zero-argument check called once before
+    each insertion step, returns true. Without ``stop`` every step runs.
 
     Each step inserts the next job into every row at that row's slot
     minimizing its partial makespan; tied slots resolve to the latest one
@@ -63,7 +58,7 @@ def _insert_best(
     total = np.cumsum(pt, axis=0)  # a lone job's completion on every machine
     scores = None
     for k, job in enumerate(jobs, start=start):
-        if _past(deadline):
+        if stop is not None and stop():
             return [], []
         if k:
             order = np.array(rows, dtype=np.intp) - 1

@@ -53,3 +53,15 @@ def random_matrix(rng: Random, n: int, m: int, low: int = 1, high: int = 99) -> 
 def random_partial_perm(rng: Random, n: int) -> list[int]:
     size = rng.randint(1, n)
     return rng.sample(range(1, n + 1), size)
+
+
+class StopOnCall:
+    """A stop check that turns true on its ``k``-th call and counts its calls."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.calls = 0
+
+    def __call__(self) -> bool:
+        self.calls += 1
+        return self.calls >= self.k

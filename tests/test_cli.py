@@ -233,6 +233,44 @@ def test_distance_sweep_names_the_instance_a_ratio_fails_on(tmp_path, capsys, mo
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_distance_sweep_rejects_an_all_zero_instance_before_any_row(
+    tmp_path, fig2_file, capsys, monkeypatch
+):
+    # the cosine floor divides by the instance's squared times: 0/0 would be
+    # written as a bound of nan
+    calls = []
+    monkeypatch.setattr("flowmt.harness.importance_scores", lambda *a: calls.append(1))
+    (tmp_path / "zero.txt").write_text("4 2\n0 0\n0 0\n0 0\n0 0\n")
+    config = tmp_path / "sweep.cfg"
+    config.write_text(
+        f"instance={fig2_file.name}\ninstance=zero.txt\nmeasures=lsp,rnd\nratios=50\n"
+        "out=sweep.csv\n"
+    )
+    assert main(["distance-sweep", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: instance 'zero': every processing time is 0, so no cosine bound exists\n"
+    assert calls == []
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_metrics_names_the_first_unfinished_run(tmp_path, capsys):
+    # a journal row of a running or crashed campaign has an empty re
+    runs = tmp_path / "runs.csv"
+    runs.write_text(
+        "algorithm,instance,run,seed,makespan,re,re_basis,elapsed_s,trace\n"
+        "A,i,0,1,110,10.000000,best_known,0.000000,t0.csv\n"
+        "A,i,1,2,105,,,0.000000,t1.csv\n"
+        "A,j,0,3,120,,,0.000000,t2.csv\n"
+    )
+    assert main(["metrics", str(runs)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: {runs}: run 1 of A on i has no relative error; its campaign has not finished\n"
+    )
+
+
 def test_distance_sweep_without_instances_fails(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text("measures=lsp\nratios=20\nout=sweep.csv\n")

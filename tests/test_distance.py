@@ -223,8 +223,10 @@ class TestCosThetaLowerBound:
          "expected a 2-D matrix, got shape (3,)"),
         (lambda p: cos_theta_lower_bound(p, [2, 11]), JobIndexError,
          "critical job 11 outside 1..10"),
+        (lambda p: cos_theta_lower_bound(ProblemMatrix(np.zeros((4, 2), dtype=np.int64)), [1]),
+         ParameterError, "bound undefined for an instance whose times are all 0"),
     ],
-    ids=["itdm-1-d", "critical-job-out-of-range"],
+    ids=["itdm-1-d", "critical-job-out-of-range", "all-zero-bound"],
 )
 def test_bad_input_rejected(fig2_matrix, call, error, message):
     with pytest.raises(error) as err:

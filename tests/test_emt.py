@@ -20,7 +20,7 @@ from flowmt.errors import ConfigError, UnderfullPoolError
 from flowmt.instance import Instance, generate_taillard, makespan
 from flowmt.transfer import project_to_eat, rov_decode
 
-from conftest import random_matrix
+from conftest import StopOnCall, random_matrix
 from oracles import gauss_mutate_reference, sbx_reference
 
 
@@ -390,10 +390,26 @@ class TestExplicitTransfer:
         eng = make_engine(fig2_matrix)
         pop = eng.initialize(Random(42))
         uid = eng._uid
-        assert eng.explicit_transfer(pop, 5, deadline=time.perf_counter()) == []
+        assert eng.explicit_transfer(pop, 5, lambda: True) == []
         assert eng._uid == uid
-        later = time.perf_counter() + 60.0
-        assert eng.explicit_transfer(pop, 5, deadline=later) != []
+        assert eng.explicit_transfer(pop, 5, lambda: False) != []
+
+    def test_stop_ends_the_batch_on_its_kth_check(self, fig2_matrix, monkeypatch):
+        # the stop check runs once before each insertion step, and a batch
+        # it stops makes no individual
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 1)
+        eng = make_engine(fig2_matrix)
+        pop = eng.initialize(Random(42))
+        steps = len(eng.remaining)
+        uid = eng._uid
+        for k in range(1, steps + 1):
+            stop = StopOnCall(k)
+            assert eng.explicit_transfer(pop, 5, stop) == []
+            assert stop.calls == k
+            assert eng._uid == uid
+        stop = StopOnCall(steps + 1)
+        assert len(eng.explicit_transfer(pop, 5, stop)) == flowmt.emt._TRANSFER_COUNT
+        assert stop.calls == steps
 
     def test_deadline_inside_the_batch_stops_it(self):
         # five 500x20 patches take about 0.45 s as one batch, and one
@@ -406,7 +422,8 @@ class TestExplicitTransfer:
         assert sum(ind.skill == TASK_EAT for ind in pop) >= flowmt.emt._TRANSFER_COUNT
         uid = eng._uid
         start = time.perf_counter()
-        assert eng.explicit_transfer(pop, 5, deadline=start + 0.05) == []
+        deadline = start + 0.05
+        assert eng.explicit_transfer(pop, 5, lambda: time.perf_counter() >= deadline) == []
         assert time.perf_counter() - start < 0.15
         assert eng._uid == uid
 
@@ -507,6 +524,23 @@ class TestRun:
         assert result.elapsed_s >= 0.2
         assert result.overrun_s == pytest.approx(result.elapsed_s - 0.2)
         assert 0.0 <= result.overrun_s < 1.0
+
+    def test_run_hands_its_clock_check_to_every_transfer(self, fig2_matrix, monkeypatch):
+        # a timed run stops a transfer only through the check it hands over;
+        # long before the deadline that check reads false
+        monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 1)
+        eng = make_engine(fig2_matrix, time_budget=60.0)
+        transfer, stops = eng.explicit_transfer, []
+
+        def record_transfer(population, gen, stop=None):
+            stops.append(stop)
+            return transfer(population, gen, stop)
+
+        eng.explicit_transfer = record_transfer
+        result = eng.run()
+        assert result.stopped_by == "generations"
+        assert len(stops) == result.generations == 3
+        assert all(callable(stop) and stop() is False for stop in stops)
 
     def test_trace_non_increasing_and_population_constant(self, fig2_matrix, monkeypatch):
         monkeypatch.setattr(flowmt.emt, "_TRANSFER_COUNT", 3)
@@ -621,10 +655,10 @@ class TestRun:
             made.extend((generation + 1, kid.uid) for kid in kids)
             return kids
 
-        def record_transfer(population, gen, deadline=None):
+        def record_transfer(population, gen, stop=None):
             nonlocal generation
             assert gen == generation + 1
-            out = transfer(population, gen, deadline)
+            out = transfer(population, gen, stop)
             made.extend((gen, ind.uid) for ind in out)
             patched.extend(out)
             generation = gen  # the transfer is the last step to create individuals

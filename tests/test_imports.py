@@ -15,6 +15,9 @@ Every private helper of the package, a module-level ``_function`` or a class's
 an import's later use) or as a loaded attribute (``self._method``), so a helper
 whose last caller is deleted goes with it.
 
+Only ``emt.py`` reads the clock: no other package module imports ``time`` or
+names ``perf_counter``, so the engine alone decides when a run stops.
+
 Every ``fm.<name>`` that the benchmark scripts in ``perfbench/`` read must
 exist on the ``flowmt`` package, so deleting a name the benchmark drives fails
 here rather than only when the benchmark runs.
@@ -136,6 +139,50 @@ def test_helper_scan_flags_only_helpers_never_read():
 
 def test_every_private_helper_is_read():
     assert unread_private_helpers({path.name: path.read_text() for path in PACKAGE}) == []
+
+
+def clock_reads(sources: dict[str, str]) -> list[str]:
+    """Each import of ``time`` and each ``perf_counter`` name, imported or
+    read, in ``sources``, file name -> text, in file and line order."""
+    reads = []
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                found = any(alias.name.partition(".")[0] == "time" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                found = node.module == "time" or any(
+                    alias.name == "perf_counter" for alias in node.names
+                )
+            elif isinstance(node, ast.Name):
+                found = node.id == "perf_counter"
+            elif isinstance(node, ast.Attribute):
+                found = node.attr == "perf_counter"
+            else:
+                continue
+            if found:
+                reads.append((file, node.lineno))
+    return [f"{file} line {line}" for file, line in sorted(reads)]
+
+
+def test_clock_scan_flags_time_imports_and_perf_counter():
+    sources = {
+        "a.py": (
+            "import timeit\n"
+            "import time as t\n"
+            "from datetime import time\n"
+            "start = t.perf_counter()\n"
+        ),
+        "b.py": "from time import monotonic\nfrom x import perf_counter\nperf_counter()\n",
+    }
+    assert clock_reads(sources) == [
+        "a.py line 2", "a.py line 4", "b.py line 1", "b.py line 2", "b.py line 3",
+    ]
+
+
+def test_only_the_engine_reads_the_clock():
+    reads = clock_reads({path.name: path.read_text() for path in PACKAGE})
+    assert any(read.startswith("emt.py ") for read in reads)
+    assert [read for read in reads if not read.startswith("emt.py ")] == []
 
 
 def benchmark_names(sources: dict[str, str]) -> list[str]:

@@ -4,11 +4,14 @@ from random import Random
 import numpy as np
 import pytest
 
+import flowmt.search
+import flowmt.transfer
 from flowmt.errors import InvalidPermutationError, ParameterError
 from flowmt.instance import ProblemMatrix, makespan
 from flowmt.search import _draw_walk, _insert_best, _position_pairs, _walk_minima, neh, solve_eat
+from flowmt.transfer import patch
 
-from conftest import random_matrix
+from conftest import StopOnCall, random_matrix
 from oracles import brute_force_optimum, dp_makespan, neh_reference
 
 
@@ -94,6 +97,32 @@ class TestInsertBest:
                 assert _insert_best(mat, [row], jobs, latest_ties) == ([seq], [value])
                 assert seq == brute_force_insertion(times, row, jobs, latest_ties)
         assert independent >= 20
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_stop_is_checked_once_before_each_step(self, count):
+        rng = Random(33)
+        mat = random_matrix(rng, 8, 3)
+        rows, jobs = [rng.sample([1, 2, 3], 3) for _ in range(count)], [4, 5, 6, 7, 8]
+        for k in range(1, len(jobs) + 1):
+            stop = StopOnCall(k)
+            assert _insert_best(mat, rows, jobs, False, stop=stop) == ([], [])
+            assert stop.calls == k
+        stop = StopOnCall(len(jobs) + 1)
+        assert _insert_best(mat, rows, jobs, False, stop=stop) == _insert_best(mat, rows, jobs, False)
+        assert stop.calls == len(jobs)
+
+    def test_neh_and_ri_patching_pass_no_stop(self, fig2_matrix, monkeypatch):
+        stops = []
+
+        def recording(*args, stop=None, **kwargs):
+            stops.append(stop)
+            return _insert_best(*args, stop=stop, **kwargs)
+
+        monkeypatch.setattr(flowmt.search, "_insert_best", recording)
+        monkeypatch.setattr(flowmt.transfer, "_insert_best", recording)
+        neh(fig2_matrix, lst_priority(fig2_matrix))
+        patch("ri", [4, 9, 5, 7], [2, 8, 10, 6, 1, 3], fig2_matrix)
+        assert stops == [None, None]
 
 
 class TestNeh:
