@@ -150,7 +150,8 @@ def _cmd_patch(args) -> int:
         raise ConfigError(f"--eat-perm must be comma-separated integers: {args.eat_perm!r}")
     rng = Random(args.seed)
     _, ranking = importance_scores(inst.matrix, args.measure, rng)
-    remaining = [job for job in ranking if job not in set(pi_eat)]
+    placed = set(pi_eat)
+    remaining = [job for job in ranking if job not in placed]
     full = patch(args.strategy, pi_eat, remaining, inst.matrix, rng)
     print("permutation =", " ".join(str(j) for j in full))
     print("makespan =", makespan(inst.matrix, full))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .auxiliary import build_eat, check_pairing, critical_count
 from .errors import ConfigError, UnderfullPoolError
 from .instance import Instance, _makespans
-from .search import _draw_walk, _insert_best, _position_pairs, _walk_minima
+from .search import _draw_walk, _insert_best, _position_pairs, _walk_batch, _walk_minima
 from .transfer import default_key_values, perm_to_vector, project_to_eat, rov_decode
 
 __all__ = [
@@ -49,8 +49,11 @@ TASK_EAT = "EAT"
 # it allows about 4190 rows, so a default generation's 2450-2860 walk rows of
 # a task make one batch; the kernel takes 5.6 µs a row in 1326-row batches,
 # 3.1 µs in 2499 and 3.0 µs in 4182 (12 ms). At 500x20 it allows about 839
-# rows: 24 µs a row (21 ms, 1.7 MB packed) in 867-row batches against 38 µs
-# in 306. The cap also bounds how far scoring runs past the deadline:
+# rows: 24 µs a row (21 ms) in 867-row batches against 38 µs in 306. Such a
+# batch packs 0.87 MB of 16-bit job numbers, half the 1.7 MB of 32-bit ones;
+# the cap counts cells, not bytes, so it holds at either width. There the
+# kernel state stays int32, as 519 * 99 > 32767 (see ``_makespans``). The
+# cap also bounds how far scoring runs past the deadline:
 # 2000-move walks at 100x20 overran a 0.3 s budget by 8-32 ms, and real-key/RI
 # runs at 500x20 with budgets of 1.2-2.2 s by at most 43 ms (max RSS 41.8 MB).
 _WALK_BATCH_CELLS = 1 << 23
@@ -382,11 +385,13 @@ class Engine:
             Individual(genotype=g2, skill=s2, uid=self._next_uid()),
         ]
 
-    def draw(self, ind: Individual, rng: Random) -> tuple[list[int], array]:
-        """The individual's full decode, and its INSERT walk (``ls_intensity``
-        moves) on its own task packed for ``improve``."""
+    def draw(self, ind: Individual, rng: Random, rows: array) -> list[int]:
+        """Append the individual's INSERT walk (``ls_intensity`` moves) on its
+        own task to ``rows``, its task's pending batch for ``improve``, and
+        return its full decode."""
         full = self.decode_full(ind.genotype)
-        return full, _draw_walk(self._project(ind.skill, full), self.config.ls_intensity, rng)
+        _draw_walk(self._project(ind.skill, full), self.config.ls_intensity, rng, rows)
+        return full
 
     def improve(self, kids: list[Individual], fulls: list[list[int]], rows: array) -> None:
         """Score the walks of ``kids``, all skilled at one task and drawn in
@@ -485,20 +490,18 @@ class Engine:
             order = list(range(len(pop)))
             rng.shuffle(order)
             offspring = []
-            pending = {task: ([], [], array("i")) for task in self.tasks}
+            pending = {task: ([], [], _walk_batch(self.D)) for task in self.tasks}
             for a, b in zip(order[::2], order[1::2]):
                 if clock.past():
                     break  # select over what this generation has made so far
                 for kid in self.mate(pop[a], pop[b], rng):
                     kids, fulls, rows = pending[kid.skill]
-                    full, walk = self.draw(kid, rng)
                     kids.append(kid)
-                    fulls.append(full)
-                    rows.extend(walk)
+                    fulls.append(self.draw(kid, rng, rows))
                     offspring.append(kid)
                     if len(rows) * machines >= _WALK_BATCH_CELLS:
                         self.improve(kids, fulls, rows)
-                        pending[kid.skill] = ([], [], array("i"))
+                        pending[kid.skill] = ([], [], _walk_batch(self.D))
             for task in self.tasks:  # popped, so each batch is freed once scored
                 kids, fulls, rows = pending.pop(task)
                 if kids:

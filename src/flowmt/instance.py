@@ -2,8 +2,8 @@
 
 Jobs and machines are numbered from 1 in every public interface. Processing
 times are nonnegative integers and all makespan arithmetic is exact integer
-arithmetic (Python ints, or int32 or int64 in the batch kernel, whichever
-cannot overflow), so no tolerance is ever involved.
+arithmetic (Python ints, or in the batch kernel the narrowest of int16,
+int32 and int64 that cannot overflow), so no tolerance is ever involved.
 """
 
 from __future__ import annotations
@@ -175,19 +175,27 @@ def _makespans(p: np.ndarray, seqs) -> np.ndarray:
     Each position gathers the rows' whole job rows from a job-major table
     (contiguous copies of m times each) and transposes them once into the
     (m, rows) times buffer; a machine-major gather copies one element at a
-    time and was about half the kernel's cost. No completion time exceeds
-    the sum of all times, so when that sum fits in int32 the table and the
-    state are int32, which halves the bytes each max and add moves; larger
-    matrices use int64. Against an int64 machine-major gather, on the walk
-    batches of whole engine runs (min of 15 alternations): a 100x20 real-key
-    run's 25500 rows took 70 ms instead of 99, a 50x10 permutation run's
-    51000 rows 35 ms instead of 43, while a 20x5 run's narrow batches (2200
-    rows in 20) took 3.2 ms instead of 2.8; two shared cores, Python 3.11,
-    numpy 2.4.
+    time and was about half the kernel's cost.
+
+    The table and the state take the narrowest of int16, int32 and int64
+    that holds every completion time. In an L-job sequence on m machines the
+    completion time of position i on machine j is the length of a path of at
+    most L + m - 1 cells through the first i rows and j columns of the
+    sequence's time grid, so none exceeds (L + m - 1) * max p. Taillard's
+    times of 1-99 keep that within int16 up to 200x20, and each narrower
+    width halves the bytes each max and add moves. Against an int64
+    machine-major gather, on the walk batches of whole engine runs (min of
+    15 alternations), int32 state took 70 ms instead of 99 for a 100x20
+    real-key run's 25500 rows and 35 ms instead of 43 for a 50x10
+    permutation run's 51000 rows, while a 20x5 run's narrow batches (2200
+    rows in 20) took 3.2 ms instead of 2.8. int16 state and 16-bit rows then
+    scored the 100x20 run's rows in a median 53 ms against int32's 65, faster in
+    40 of 40 interleaved pairs; two shared cores, Python 3.11, numpy 2.4.
     """
     seqs = np.asarray(seqs)
     n, m = p.shape
-    dtype = np.int32 if int(p.sum()) <= np.iinfo(np.int32).max else np.int64
+    bound = (seqs.shape[-1] + m - 1) * int(p.max())
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
     table = np.zeros((n + 1, m), dtype=dtype)  # row 0 unused: jobs index it 1-based
     table[1:] = p
     rows = np.empty((len(seqs), m), dtype=dtype)

@@ -134,34 +134,45 @@ def _position_pairs(n: int, count: int, getrandbits) -> list[int]:
     return out
 
 
-def _draw_walk(perm: Sequence[int], iterations: int, rng) -> array:
-    """A random INSERT walk from ``perm``: each move picks two distinct
-    positions and moves the later job directly before the earlier one.
+def _walk_batch(largest_job: int) -> array:
+    """An empty packed walk batch for jobs numbered up to ``largest_job``:
+    16-bit (typecode ``"h"``) while every job number fits in it, that is up
+    to 32767, else 32-bit (``"i"``). A walk batch is a generation's largest
+    allocation, and a job number is all that its cells hold, so the narrower
+    one is exact and halves it."""
+    return array("h" if largest_job <= 0x7FFF else "i")
 
-    Runs ``iterations`` moves (none for a single job) and returns the start,
-    then the sequence after each move, packed row after row as int32. Every
-    move is applied whatever its value, so the walk is drawn first and
-    ``_walk_minima`` scores its sequences in one batch.
+
+def _draw_walk(perm: Sequence[int], iterations: int, rng, rows: array) -> None:
+    """Append a random INSERT walk from ``perm`` to the packed batch ``rows``:
+    each move picks two distinct positions and moves the later job directly
+    before the earlier one.
+
+    Runs ``iterations`` moves (none for a single job) and appends the start,
+    then the sequence after each move, row after row, in the batch's own
+    typecode (see ``_walk_batch``); the batch's earlier rows stay as they are.
+    Every move is applied whatever its value, so the walk is drawn first and
+    ``_walk_minima`` scores its sequences with the rest of the batch.
     """
-    cur = array("i", perm)
-    rows = array("i", cur)
+    cur = array(rows.typecode, perm)
+    rows.extend(cur)
     n = len(cur)
     if n < 2:
-        return rows
+        return
     pairs = iter(_position_pairs(n, iterations, rng.getrandbits))
     pop, insert, extend = cur.pop, cur.insert, rows.extend
     for i, j in zip(pairs, pairs):
         insert(i, pop(j))
         extend(cur)
-    return rows
 
 
 def _walk_minima(
     p: np.ndarray, rows: array, walks: int, length: int
 ) -> tuple[list[list[int]], list[int]]:
     """Score ``walks`` packed walks of ``length`` jobs and equal move counts in
-    one batch; returns each walk's best sequence and its makespan as lists."""
-    seqs = np.frombuffer(rows, dtype=np.int32).reshape(-1, length)
+    one batch; returns each walk's best sequence and its makespan as lists.
+    The rows are read in place, in the batch's own typecode."""
+    seqs = np.frombuffer(rows, dtype=rows.typecode).reshape(-1, length)
     values = _makespans(p, seqs).reshape(walks, -1)
     # argmin keeps the first of tied minima, as a strict-improvement walk would
     best = values.argmin(axis=1)

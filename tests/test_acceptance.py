@@ -24,7 +24,7 @@ from flowmt.emt import (
 )
 from flowmt.harness import CampaignConfig, distance_sweep, relative_error, run_campaign
 from flowmt.instance import Instance, ProblemMatrix, makespan, write_instance
-from flowmt.search import solve_eat
+from flowmt.search import _walk_batch, solve_eat
 from flowmt.transfer import patch, perm_to_vector, project_to_eat, rov_decode
 
 from conftest import FIG2_LSP, FIG2_RANKING, FIG2_TIMES, random_matrix
@@ -344,8 +344,9 @@ def test_c10_engine_invariants(tmp_path, monkeypatch):
                 kid.objectives[kid.skill] = makespan(
                     task_matrix, engine.decode_task(kid.skill, kid.genotype)
                 )
-                full, walk = engine.draw(kid, grng)
-                engine.improve([kid], [full], walk)
+                rows = _walk_batch(engine.D)
+                full = engine.draw(kid, grng, rows)
+                engine.improve([kid], [full], rows)
                 offspring.append(kid)
         donors = sorted(
             (ind for ind in pop if ind.skill == TASK_EAT),

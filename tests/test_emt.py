@@ -279,14 +279,19 @@ class TestRealKeyOperators:
                 assert rng.getstate() == twin.getstate()
 
 
+def improve_alone(eng, ind, rng):
+    """Draw one individual's walk into a batch of its own and score it."""
+    rows = flowmt.search._walk_batch(eng.D)
+    eng.improve([ind], [eng.draw(ind, rng, rows)], rows)
+
+
 class TestImprove:
     def test_zero_intensity_leaves_genotype(self, fig2_matrix):
         eng = make_engine(fig2_matrix, ls_intensity=0)
         pop = eng.initialize(Random(7))
         ind = pop[0]
         before = ind.genotype
-        full, walk = eng.draw(ind, Random(8))
-        eng.improve([ind], [full], walk)
+        improve_alone(eng, ind, Random(8))
         assert ind.genotype == before
 
     def test_alignment_contract(self, fig2_matrix):
@@ -294,8 +299,7 @@ class TestImprove:
         pop = eng.initialize(Random(9))
         rng = Random(10)
         for ind in pop:
-            full, walk = eng.draw(ind, rng)
-            eng.improve([ind], [full], walk)
+            improve_alone(eng, ind, rng)
             # decoding reproduces the improved sequence: the stored objective
             # must equal re-evaluating the genotype from scratch
             assert ind.objectives[ind.skill] == rescore(eng, ind.skill, ind.genotype)
@@ -311,8 +315,7 @@ class TestImprove:
             for kid in kids:
                 kid.objectives[kid.skill] = rescore(eng, kid.skill, kid.genotype)
                 before = kid.objectives[kid.skill]
-                full, walk = eng.draw(kid, rng)
-                eng.improve([kid], [full], walk)
+                improve_alone(eng, kid, rng)
                 assert kid.objectives[kid.skill] <= before
 
     def test_eat_improve_keeps_noncritical_positions(self, fig2_matrix):
@@ -322,8 +325,7 @@ class TestImprove:
         ind = Individual(genotype=genotype, skill=TASK_EAT, uid=eng._next_uid())
         ind.objectives[TASK_EAT] = rescore(eng, TASK_EAT, genotype)
         before_full = rov_decode(genotype)
-        full, walk = eng.draw(ind, Random(15))
-        eng.improve([ind], [full], walk)
+        improve_alone(eng, ind, Random(15))
         after_full = rov_decode(ind.genotype)
         critical = eng.tasks[TASK_EAT][1]
         for pos, (a, b) in enumerate(zip(before_full, after_full)):
@@ -733,13 +735,14 @@ class TestRun:
         assert result.best_makespan == makespan(exp.matrix, list(result.best_perm))
 
     def test_wall_clock_budget_holds_within_a_long_generation(self, monkeypatch):
-        # with 2000 INSERT moves a 100-job walk is 200100 int32 cells (800 KB),
-        # past the batch cap, so it is scored alone as soon as it is drawn:
-        # about 9 ms to draw and 16 ms to score on two shared cores, 50 ms a
-        # mating pair. A generation of 100 kids takes about 2 s, so a deadline
-        # checked only between generations would overrun the 2 s bound, and
-        # walks scored only at the end of a generation would overrun the
-        # deadline by about the budget itself (0.31-0.37 s measured)
+        # with 2000 INSERT moves a 100-job walk is 200100 16-bit cells (400 KB)
+        # and 4002000 completion-table cells, so an expensive-task batch
+        # reaches the 2^23-cell cap at its third walk and is scored then:
+        # about 9 ms to draw and 16 ms to score a walk on two shared cores,
+        # 50 ms a mating pair. A generation of 100 kids takes about 2 s, so a
+        # deadline checked only between generations would overrun the 2 s
+        # bound, and walks scored only at the end of a generation would
+        # overrun the deadline by about the budget itself (0.31-0.37 s measured)
         monkeypatch.setattr(flowmt.emt, "_TRANSFER_PERIOD", 1)
         exp = generate_taillard(100, 20, 1539989115)
         config = EngineConfig(
@@ -751,6 +754,22 @@ class TestRun:
         assert result.trace[-1].generation == result.generations
         assert result.stopped_by == "budget"
         assert result.overrun_s < 0.2
+
+    def test_default_100x20_generation_packs_walks_in_16_bits(self, monkeypatch):
+        # job numbers up to 100 fit in 16 bits, so each task's walk batch is
+        # packed in 2-byte cells, half the bytes of int32 ones
+        itemsizes = []
+        real = flowmt.emt._walk_minima
+
+        def record(p, rows, walks, length):
+            itemsizes.append(rows.itemsize)
+            return real(p, rows, walks, length)
+
+        monkeypatch.setattr(flowmt.emt, "_walk_minima", record)
+        exp = generate_taillard(100, 20, 1539989115)
+        config = EngineConfig(max_generations=1, rng_seed=1)
+        Engine(TaskPair(exp, ImpTsk("lsp", 20)), config).run()
+        assert itemsizes == [2, 2]
 
     def test_walk_batches_straddling_the_cap_score_every_kid(self, monkeypatch):
         # 50 jobs, 5 machines and 1000 moves: an expensive-task walk fills

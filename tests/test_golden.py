@@ -28,9 +28,10 @@ def test_golden_digests_match():
 
 
 # The golden cases stop at 50x10. This run pins the 100-job paths too: the
-# pair draw above 21 positions, int32 kernel state on wide walk batches, and
-# RI transfer at 100x20. Its digest was recorded with the int64 kernel and the
-# one-pair-per-call walk draw that came before them.
+# pair draw above 21 positions, wide walk batches packed in 16 bits and scored
+# in int16 kernel state, and RI transfer at 100x20. Its digest was recorded
+# with the int64 kernel, 32-bit walk rows and the one-pair-per-call walk draw
+# that came before them.
 RI_100X20_DIGEST = "68c09ea54be5a2adba923461b08e8686f4bf511113cb04834b0a813f45bae775"
 
 

@@ -18,6 +18,9 @@ whose last caller is deleted goes with it.
 Only ``emt.py`` reads the clock: no other package module imports ``time`` or
 names ``perf_counter``, so the engine alone decides when a run stops.
 
+Only ``search.py`` builds an ``array.array``: no other package module calls
+it, so the packed format of the INSERT-walk batches has one owner.
+
 Every ``fm.<name>`` that the benchmark scripts in ``perfbench/`` read must
 exist on the ``flowmt`` package, so deleting a name the benchmark drives fails
 here rather than only when the benchmark runs.
@@ -183,6 +186,54 @@ def test_only_the_engine_reads_the_clock():
     reads = clock_reads({path.name: path.read_text() for path in PACKAGE})
     assert any(read.startswith("emt.py ") for read in reads)
     assert [read for read in reads if not read.startswith("emt.py ")] == []
+
+
+def array_builds(sources: dict[str, str]) -> list[str]:
+    """Each call of ``array.array`` in ``sources``, file name -> text, in file
+    and line order, whether the name was imported from ``array`` or read as
+    an attribute of the imported module (``numpy.array`` is not one)."""
+    builds = []
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        names, modules = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = {alias.asname or alias.name for alias in node.names if alias.name == "array"}
+                if isinstance(node, ast.Import):
+                    modules |= bound
+                elif node.module == "array":
+                    names |= bound
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id in names) or (
+                isinstance(func, ast.Attribute) and func.attr == "array"
+                and isinstance(func.value, ast.Name) and func.value.id in modules
+            ):
+                builds.append((file, node.lineno))
+    return [f"{file} line {line}" for file, line in sorted(builds)]
+
+
+def test_array_scan_flags_only_array_module_calls():
+    sources = {
+        "a.py": (
+            "from array import array\n"
+            "import numpy as np\n"
+            "rows = array('h')\n"
+            "np.array(rows)\n"
+            "def f(rows: array) -> array:\n"
+            "    return array(rows.typecode, rows)\n"
+        ),
+        "b.py": "import array as packed\nfrom numpy import array\npacked.array('i')\narray([1])\n",
+    }
+    assert array_builds(sources) == ["a.py line 3", "a.py line 6", "b.py line 3"]
+
+
+def test_only_search_builds_packed_arrays():
+    builds = array_builds({path.name: path.read_text() for path in PACKAGE})
+    assert any(build.startswith("search.py ") for build in builds)
+    assert [build for build in builds if not build.startswith("search.py ")] == []
 
 
 def benchmark_names(sources: dict[str, str]) -> list[str]:

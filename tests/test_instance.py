@@ -124,9 +124,10 @@ class TestBatchMakespans:
         self._check(mat, [rng.sample(range(1, 8), 7) for _ in range(4)])
 
     def test_int32_and_int64_sides_of_the_sum_limit(self):
-        # the kernel runs in int32 while the sum of all times fits in it; at
-        # exactly 2**31 - 1 a one-machine schedule ends at that sum, and one
-        # more unit, or 2x2 times near 2**30, give makespans past int32
+        # the kernel's width follows the critical-path bound (L + m - 1) * max p;
+        # matrices whose total time sits at 2**31 - 1, one unit past it or at
+        # twice it, and 2x2 times near 2**30, reach the int32 and int64 sides
+        # of that bound and give makespans up to past int32
         limit = 2**31 - 1
         rng = Random(8)
         for total in (limit, limit + 1, 2 * limit):
@@ -146,13 +147,37 @@ class TestBatchMakespans:
         assert _makespans(near.p, [[1, 2]]).tolist() == [3 * 2**30 - 1]
 
     def test_packed_int32_rows(self):
-        # the engine hands over its walks as packed int32 cells
+        # the engine hands over its walks as packed 16-bit cells while the job
+        # numbers fit, else as packed int32 cells
         rng = Random(5)
         mat = random_matrix(rng, 9, 4)
         seqs = [rng.sample(range(1, 10), 6) for _ in range(7)]
-        packed = array("i", [job for seq in seqs for job in seq])
-        rows = np.frombuffer(packed.tobytes(), dtype=np.int32).reshape(len(seqs), 6)
-        self._check(mat, rows)
+        for typecode, dtype in (("h", np.int16), ("i", np.int32)):
+            packed = array(typecode, [job for seq in seqs for job in seq])
+            rows = np.frombuffer(packed.tobytes(), dtype=dtype).reshape(len(seqs), 6)
+            self._check(mat, rows)
+
+    def test_each_width_at_its_edge(self):
+        # no completion time of an L-job sequence on m machines exceeds
+        # (L + m - 1) * max p, and equal times reach that bound: 4 of 6 jobs on
+        # 4 machines at 4681 each end at exactly 7 * 4681 = 2**15 - 1, the
+        # int16 edge, and one unit more on job 1 ends one past it, in int32
+        for extra in (0, 1):
+            p = np.full((6, 4), 4681)
+            p[0, 0] += extra
+            mat = ProblemMatrix(p)
+            seqs = [[1, 2, 3, 4], [4, 3, 2, 1], [6, 1, 5, 2]]
+            self._check(mat, seqs)
+            assert _makespans(mat.p, seqs).tolist() == [2**15 - 1 + extra] * 3
+        # either side of 2**31 - 1, the int32 edge: one job on one machine,
+        # and 2 jobs on 2 machines at 3 * 715827882 = 2**31 - 2 and one more
+        # unit each
+        for value in (2**31 - 1, 2**31):
+            self._check(ProblemMatrix(np.array([[value]])), [[1]])
+        for value in (715827882, 715827883):
+            mat = ProblemMatrix(np.full((2, 2), value))
+            self._check(mat, [[1, 2], [2, 1]])
+            assert _makespans(mat.p, [[1, 2]]).tolist() == [3 * value]
 
     def test_batch_of_thousands_of_rows(self):
         rng = Random(6)

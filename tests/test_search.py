@@ -1,4 +1,3 @@
-from array import array
 from random import Random
 
 import numpy as np
@@ -8,7 +7,15 @@ import flowmt.search
 import flowmt.transfer
 from flowmt.errors import InvalidPermutationError, ParameterError
 from flowmt.instance import ProblemMatrix, makespan
-from flowmt.search import _draw_walk, _insert_best, _position_pairs, _walk_minima, neh, solve_eat
+from flowmt.search import (
+    _draw_walk,
+    _insert_best,
+    _position_pairs,
+    _walk_batch,
+    _walk_minima,
+    neh,
+    solve_eat,
+)
 from flowmt.transfer import patch
 
 from conftest import StopOnCall, random_matrix
@@ -166,7 +173,9 @@ class TestNeh:
 def best_of_walk(matrix, perm, iterations, rng):
     """Draw one INSERT walk and score it as the engine does: its first best
     sequence and that sequence's makespan."""
-    seqs, values = _walk_minima(matrix.p, _draw_walk(perm, iterations, rng), 1, len(perm))
+    rows = _walk_batch(matrix.n)
+    _draw_walk(perm, iterations, rng, rows)
+    seqs, values = _walk_minima(matrix.p, rows, 1, len(perm))
     return seqs[0], values[0]
 
 
@@ -264,13 +273,36 @@ class TestInsertLocalSearch:
             mat = tie_heavy_matrix(rng)
             starts = [rng.sample(range(1, mat.n + 1), mat.n) for _ in range(rng.randint(2, 6))]
             walk_rng, twin = Random(trial), Random(trial)
-            rows = array("i")
+            rows = _walk_batch(mat.n)
             for perm in starts:
-                rows.extend(_draw_walk(perm, 15, walk_rng))
+                _draw_walk(perm, 15, walk_rng, rows)
             seqs, values = _walk_minima(mat.p, rows, len(starts), mat.n)
             expected = [replay_best(mat.rows(), perm, 15, twin) for perm in starts]
             assert seqs == [seq for seq, _ in expected]
             assert values == [value for _, value in expected]
+
+    def test_batch_is_16_bit_while_job_numbers_fit(self):
+        narrow, wide = _walk_batch(2**15 - 1), _walk_batch(2**15)
+        assert (narrow.typecode, wide.typecode) == ("h", "i")
+        _draw_walk([2**15 - 1, 1, 2], 3, Random(4), narrow)
+        _draw_walk([2**15, 1, 2], 3, Random(4), wide)
+        assert [job for job in narrow if job > 2] == [2**15 - 1] * 4
+        assert [job for job in wide if job > 2] == [2**15] * 4
+
+    def test_draw_appends_after_the_batch_rows(self):
+        rng = Random(33)
+        first, second = rng.sample(range(1, 13), 12), rng.sample(range(1, 13), 12)
+        rows = _walk_batch(12)
+        _draw_walk(first, 10, Random(1), rows)
+        earlier = rows.tolist()
+        walk_rng, twin = Random(2), Random(2)
+        _draw_walk(second, 10, walk_rng, rows)
+        alone = _walk_batch(12)
+        _draw_walk(second, 10, twin, alone)
+        assert len(earlier) == len(alone) == 11 * 12
+        assert earlier[:12] == first and alone[:12].tolist() == second
+        assert rows.tolist() == earlier + alone.tolist()
+        assert rows.typecode == "h"
 
     def test_partial_permutation_supported(self, fig2_matrix):
         partial = [5, 9, 4, 7]
