@@ -128,8 +128,7 @@ def importance_scores(
     position = [0.0] * n
     for pos, job in enumerate(perm, start=1):
         position[job - 1] = float(pos)
-    ranking = sorted(jobs, key=lambda job: (position[job - 1], job))
-    return position, ranking
+    return position, perm  # earlier is more important, and positions never tie
 
 
 def critical_count(n: int, k: int) -> int:

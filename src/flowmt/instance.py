@@ -144,23 +144,6 @@ def _makespan_unchecked(rows: list, m: int, perm: Sequence[int]) -> int:
     return c[m - 1]
 
 
-def _machine_completions(pt: np.ndarray, seqs: np.ndarray):
-    """Yield, machine by machine, the completion time of every listed job.
-
-    ``pt`` is the machine-major (m x n) time matrix and ``seqs`` holds
-    0-based job indices with the job order on its last axis. Each yield has
-    the shape of ``seqs``. On machine j with times T = cumsum(P_j) along the
-    order, C_j = T + cummax(C_{j-1} - T + P_j), so every machine is one
-    vectorised step and the arithmetic stays in int64.
-    """
-    done = np.zeros(seqs.shape, dtype=np.int64)
-    for row in pt:
-        times = row[seqs]
-        total = times.cumsum(axis=-1)
-        done = total + np.maximum.accumulate(done - total + times, axis=-1)
-        yield done
-
-
 def _makespans(p: np.ndarray, seqs) -> np.ndarray:
     """Makespans of equal-length (possibly partial) 1-based job sequences,
     one per row of ``seqs``, evaluated as a single batch; returned as int64.
@@ -169,8 +152,9 @@ def _makespans(p: np.ndarray, seqs) -> np.ndarray:
     latest job. Position by position, and machine by machine within a
     position, all rows advance at once: C[j] = max(C[j], C[j-1]) + p[job, j],
     one vector max and one vector add over the rows. Running along the job
-    axis instead (``_machine_completions``) pays about 4 ns per element for
-    cumsum and maximum.accumulate, so this orientation wins on wide batches.
+    axis instead, as ``search._insert_best``'s heads-and-tails pass does,
+    pays about 4 ns per element for cumsum and maximum.accumulate, so this
+    orientation wins on wide batches.
 
     Each position gathers the rows' whole job rows from a job-major table
     (contiguous copies of m times each) and transposes them once into the
@@ -279,13 +263,13 @@ def parse_instance(data: bytes | str, fmt: str = "canonical", name: str = "") ->
             body[-1][0] if body else head_no,
         )
 
+    # every line's count is checked before the header's shape is allocated
+    for line_no, tokens in body:
+        if len(tokens) != expect_cols:
+            raise ParseError(f"expected {expect_cols} values, found {len(tokens)}", line_no)
     values = np.empty((expect_rows, expect_cols), dtype=np.int64)
     limit = np.iinfo(np.int64).max // values.size  # the largest time ProblemMatrix accepts
     for r, (line_no, tokens) in enumerate(body):
-        if len(tokens) != expect_cols:
-            raise ParseError(
-                f"expected {expect_cols} values, found {len(tokens)}", line_no
-            )
         for cidx, tok in enumerate(tokens, start=1):
             v = _parse_int(tok, line_no, cidx)
             if v < 0:

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidPermutationError, ParameterError
-from .instance import ProblemMatrix, _machine_completions, _makespan_unchecked, _makespans
+from .instance import ProblemMatrix, _makespan_unchecked, _makespans
 
 __all__ = ["neh", "solve_eat"]
 
@@ -24,16 +24,18 @@ def _insert_best(
     stop=None,
 ) -> tuple[list[list[int]], list[int]]:
     """Grow a batch of one or more equal-length partial sequences by the
-    same ``jobs``; returns the grown rows and each one's makespan, or two
-    empty lists when ``stop``, a zero-argument check called once before
-    each insertion step, returns true. Without ``stop`` every step runs.
+    same ``jobs``; returns the grown rows and each one's makespan, all plain
+    ints, or two empty lists when ``stop``, a zero-argument check called
+    once before each insertion step, returns true. Without ``stop`` every
+    step runs.
 
     Each step inserts the next job into every row at that row's slot
     minimizing its partial makespan; tied slots resolve to the latest one
     when ``latest_ties`` is set, otherwise to the earliest. Rows never
     interact, so a batch gives each row what a batch of one would. A row's
     makespan is its least insertion value at the last step, so the list is
-    empty when ``jobs`` is.
+    empty when ``jobs`` is. The rows are copied once into one integer array
+    that grows in place.
 
     Every slot of every row is scored at once from heads and tails
     (Taillard 1990): the heads are the completion times of the current row,
@@ -42,18 +44,21 @@ def _insert_best(
     f[j] = max(f[j-1], head[j][pos-1]) + p[j], and the schedule then ends at
     max_j(f[j] + tail[j][pos]). That is O(k*m) per job instead of O(k^2*m).
     Tails are the heads of the reversed row on the reversed machines, so one
-    ``_machine_completions`` pass over the rows and their reversals (job
-    index n + i reads job i's time on machine m-1-j) fills both, into
-    ``edges`` whose column 0 stays zero. Five 100x20 RI patches take about
-    25 ms as one batch against 105 ms one by one, and one row runs about
-    1.5x faster than with separate head and tail passes.
+    pass along the job axis over the rows and their reversals (job index
+    n + i reads job i's time on machine m-1-j) fills both: with T the prefix
+    sums of machine j's times along a row, C_j = T + cummax(C_{j-1} - T + P_j),
+    written machine by machine into ``edges``, allocated once per call, whose
+    column 0 stays zero. Five 100x20 RI patches take about 19 ms as one batch
+    against 44 ms one by one, and one row runs about 1.5x faster than with
+    separate head and tail passes.
     """
     pt = matrix.p.T
     n, m = matrix.n, matrix.m
     both_pt = np.concatenate([pt, pt[::-1]], axis=1)
-    rows = [list(row) for row in rows]
     count, start = len(rows), len(rows[0])
-    edges = np.zeros((m, 2 * count, start + len(jobs) + 1), dtype=np.int64)
+    seqs = np.empty((count, start + len(jobs)), dtype=np.intp)
+    seqs[:, :start] = rows
+    edges = np.zeros((m, 2 * count, seqs.shape[1] + 1), dtype=np.int64)
     heads, tails = edges[:, :count], edges[::-1, count:]
     total = np.cumsum(pt, axis=0)  # a lone job's completion on every machine
     scores = None
@@ -61,9 +66,15 @@ def _insert_best(
         if stop is not None and stop():
             return [], []
         if k:
-            order = np.array(rows, dtype=np.intp) - 1
-            both = np.concatenate([order, order[:, ::-1] + n])
-            np.stack(list(_machine_completions(both_pt, both)), out=edges[:, :, 1 : k + 1])
+            order = seqs[:, :k] - 1
+            times = np.take(both_pt, np.concatenate([order, order[:, ::-1] + n]), axis=1)
+            done = edges[:, :, 1 : k + 1]
+            np.cumsum(times, axis=2, out=done)  # T, and machine 0's completions
+            times -= done  # P - T
+            for step, prev, out in zip(times[1:], done[:-1], done[1:]):
+                step += prev
+                np.maximum.accumulate(step, axis=1, out=step)
+                out += step
         lone = total[:, job - 1, None, None]
         finish = np.maximum.accumulate(heads[:, :, : k + 1] - lone + pt[:, job - 1, None, None])
         finish += lone
@@ -73,9 +84,10 @@ def _insert_best(
             slots = k - scores[:, ::-1].argmin(axis=1)
         else:
             slots = scores.argmin(axis=1)
-        for row, pos in zip(rows, slots.tolist()):
-            row.insert(pos, job)
-    return rows, [] if scores is None else scores.min(axis=1).tolist()
+        for row, pos in zip(seqs, slots.tolist()):
+            row[pos + 1 : k + 1] = row[pos:k]
+            row[pos] = job
+    return seqs.tolist(), [] if scores is None else scores.min(axis=1).tolist()
 
 
 def neh(matrix: ProblemMatrix, priority: Sequence[int]) -> list[int]:

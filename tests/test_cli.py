@@ -585,6 +585,18 @@ def test_missing_file_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text", ["2 1000000000000\n1 2\n3 4\n", "1000000000000 1 5\n1 2\n"], ids=["canonical", "taillard"]
+)
+def test_overstated_dimension_exit_code(tmp_path, fig2_file, capsys, text):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    assert main(["distance", str(path), str(fig2_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "line 2: expected 1000000000000 values, found 2" in err
+
+
 def test_solve_without_budget_or_generations_uses_the_papers_budget(
     tmp_path, capsys, monkeypatch
 ):

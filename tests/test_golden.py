@@ -9,12 +9,14 @@ fails here. The cases and digests live in ``perfbench/golden.py`` and
 import hashlib
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import flowmt
 from flowmt import cli
 from flowmt.harness import write_sweep_csv
+from flowmt.search import _insert_best
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -79,6 +81,30 @@ def test_pairing_digest_matches(encoding, pairing):
     assert sorted(result.best_perm) == list(range(1, exp.n + 1))
     assert flowmt.makespan(exp.matrix, result.best_perm) == result.best_makespan
     assert (result.best_makespan, golden.digest(result)) == PAIRING_DIGESTS[encoding, pairing]
+
+
+# No golden case or workload reaches 500 jobs. These pin the best-slot
+# insertion kernel at 500x20: NEH over all jobs in lst order, and an RI batch
+# that inserts the 400 non-critical lsp-20 jobs into five orders of the
+# critical ones, as an engine's transfer does. Their digests were recorded
+# with the kernel that kept its rows as Python lists and stacked heads and
+# tails from a separate completion-time generator.
+NEH_500X20_DIGEST = "22dbb192aa9e03945a08c21a3b9f72eaed433287e46573fd8e89030facea48ea"
+RI_BATCH_500X20_DIGEST = "09eb9cbe2d467865f0a1e09b57c3affd1c3f4ed3bad03e46a3ed0ec2eb9943b6"
+
+
+def test_insertion_at_500x20_digests_match():
+    matrix = flowmt.generate_taillard(500, 20, 777).matrix
+    seq = flowmt.neh(matrix, flowmt.importance_scores(matrix, "lst")[1])
+    assert flowmt.makespan(matrix, seq) == 27106
+    assert hashlib.sha256(repr(seq).encode()).hexdigest() == NEH_500X20_DIGEST
+    eat = flowmt.build_eat(matrix, "lsp", 20)
+    rng = Random(5)
+    donors = [rng.sample(eat.selected, eat.g) for _ in range(5)]
+    seqs, values = _insert_best(matrix, donors, eat.remaining, latest_ties=False)
+    assert values == [27182, 27144, 27112, 27143, 27168]
+    assert seqs[0] == flowmt.patch("ri", donors[0], eat.remaining, matrix)
+    assert hashlib.sha256(repr((seqs, values)).encode()).hexdigest() == RI_BATCH_500X20_DIGEST
 
 
 # Every file a small campaign, its resume and a distance sweep write through

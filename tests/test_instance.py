@@ -255,6 +255,17 @@ class TestParsing:
             parse_instance(text, fmt=fmt)
         assert (err.value.line, err.value.column) == (line, column)
 
+    @pytest.mark.parametrize(
+        "text, fmt",
+        [("2 1000000000000\n1 2\n3 4\n", "canonical"), ("1000000000000 1 5\n1 2\n", "taillard")],
+        ids=["canonical", "taillard"],
+    )
+    def test_overstated_dimension_reports_line_before_allocating(self, text, fmt):
+        # a header's dimensions are checked against the data lines before the
+        # matrix they describe, terabytes here, is allocated
+        with pytest.raises(ParseError, match="line 2: expected 1000000000000 values, found 2"):
+            parse_instance(text, fmt=fmt)
+
     def test_missing_rows_rejected(self):
         with pytest.raises(ParseError):
             parse_instance("3 2\n1 2")

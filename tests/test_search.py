@@ -131,6 +131,48 @@ class TestInsertBest:
         patch("ri", [4, 9, 5, 7], [2, 8, 10, 6, 1, 3], fig2_matrix)
         assert stops == [None, None]
 
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_input_rows_are_left_untouched(self, kind):
+        rng = Random(34)
+        for count in [1, 3] * 20:
+            mat = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 4))
+            rows, jobs = random_batch(rng, mat, count)
+            given = kind(kind(row) for row in rows)
+            before = [list(row) for row in given]
+            grown, _ = _insert_best(mat, given, jobs, False)
+            assert [list(row) for row in given] == before
+            assert all(type(row) is kind for row in given)
+            assert not any(seq is row for seq, row in zip(grown, given))
+
+    def test_results_are_plain_ints(self):
+        rng = Random(35)
+        for count in [1, 3] * 20:
+            mat = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 4))
+            rows, jobs = random_batch(rng, mat, count)
+            grown, values = _insert_best(mat, rows, jobs, True)
+            assert all(type(job) is int for seq in grown for job in seq)
+            assert all(type(value) is int for value in values)
+
+    def test_largest_accepted_times_stay_exact(self):
+        # at the largest time ProblemMatrix accepts, every partial makespan
+        # is within int64 but the sums of heads and tails come close to it
+        rng = Random(36)
+        for _ in range(40):
+            n, m = rng.randint(2, 7), rng.randint(1, 4)
+            top = np.iinfo(np.int64).max // (n * m)
+            times = [[rng.choice([0, top, rng.randint(0, top)]) for _ in range(m)] for _ in range(n)]
+            mat = ProblemMatrix(np.array(times, dtype=np.int64))
+            priority = rng.sample(range(1, n + 1), n)
+            assert neh(mat, priority) == neh_reference(times, priority)[0]
+            cut = rng.randint(0, n)
+            assert patch("ri", priority[:cut], priority[cut:], mat) == brute_force_insertion(
+                times, priority[:cut], priority[cut:], False
+            )
+            rows, jobs = random_batch(rng, mat, 3)
+            grown, values = _insert_best(mat, rows, jobs, False)
+            assert grown == [brute_force_insertion(times, row, jobs, False) for row in rows]
+            assert values == ([dp_makespan(times, seq) for seq in grown] if jobs else [])
+
 
 class TestNeh:
     def test_single_job(self):
