@@ -34,7 +34,7 @@ MEASURES = ("lsp", "lst", "kk1", "kk2", "sr0", "sr1", "sr2", "rnd")
 _VALUE_MEASURES = ("lsp", "lst", "kk1", "kk2")
 
 
-@dataclass
+@dataclass(eq=False)
 class EatSpec:
     """A compact auxiliary task: which jobs were kept and their rows.
 

@@ -24,6 +24,7 @@ from .harness import (
     parse_campaign_config,
     parse_sweep_config,
     read_runs_csv,
+    read_utf8,
     relative_error,
     run_campaign,
     write_metrics_csv,
@@ -102,7 +103,7 @@ def _cmd_generate(args) -> int:
     inst = generate_taillard(args.n, args.m, args.seed)
     text = write_instance(inst)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0
@@ -124,7 +125,7 @@ def _cmd_build_eat(args) -> int:
     eat = build_eat(inst.matrix, args.measure, args.ratio, rng=Random(args.seed))
     text = write_instance(Instance(eat.submatrix))
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
         report = sys.stdout
     else:
         sys.stdout.write(text)
@@ -192,7 +193,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_experiment(args) -> int:
     path = Path(args.config)
-    config = parse_campaign_config(path.read_text(), base_dir=path.parent)
+    config = parse_campaign_config(read_utf8(path), base_dir=path.parent)
     records, metrics = run_campaign(config)
     print(f"completed {len(records)} runs over {len(metrics)} (algorithm, instance) cells")
     print(f"outputs in {Path(config.base_dir) / config.out_dir}")
@@ -201,7 +202,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_distance_sweep(args) -> int:
     path = Path(args.config)
-    instances, measures, ratios, seed, out = parse_sweep_config(path.read_text(), path.parent)
+    instances, measures, ratios, seed, out = parse_sweep_config(read_utf8(path), path.parent)
     _check_out_path(out)
     rows = distance_sweep(instances, measures, ratios, seed=seed)
     write_sweep_csv(out, rows)
@@ -219,7 +220,7 @@ def _cmd_metrics(args) -> int:
             )
     rows = group_metrics(records)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
             write_metrics_csv(fh, rows)
     else:
         write_metrics_csv(sys.stdout, rows)

@@ -31,6 +31,12 @@ def _as_array(matrix) -> np.ndarray:
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"expected a 2-D matrix, got shape {arr.shape}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        row, col = bad[0]
+        raise ParameterError(
+            f"entry {arr[row, col]} at row {row + 1}, column {col + 1} is not finite"
+        )
     return arr
 
 

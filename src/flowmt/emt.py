@@ -77,7 +77,7 @@ class ImpTsk:
         check_pairing(self.measure, self.k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RndTsk:
     """Auxiliary task taken from an unrelated benchmark instance."""
 
@@ -89,7 +89,7 @@ class RndTsk:
             raise ConfigError(f"random-pairing kind must be 1, 2 or 3, got {self.kind}")
 
 
-@dataclass
+@dataclass(eq=False)
 class TaskPair:
     """The expensive task plus the description of its auxiliary companion."""
 

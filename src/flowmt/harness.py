@@ -17,9 +17,7 @@ re_basis column.
 from __future__ import annotations
 
 import csv
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from random import Random
@@ -37,6 +35,7 @@ __all__ = [
     "CampaignConfig",
     "relative_error",
     "aggregate",
+    "read_utf8",
     "load_instance_file",
     "parse_algorithm",
     "build_engine",
@@ -132,10 +131,19 @@ def group_metrics(records: list[RunRecord]) -> list[MetricsRow]:
 # ---------------------------------------------------------------------------
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of the UTF-8 file at ``path``; any other bytes raise a
+    ParseError that names the file and the offset of the first bad byte."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
 def load_instance_file(path: str | Path) -> Instance:
     """Read an instance file, trying canonical format first, then taillard."""
     path = Path(path)
-    text = path.read_text()
+    text = read_utf8(path)
     try:
         return parse_instance(text, "canonical", name=path.stem)
     except ParseError as canonical:
@@ -384,7 +392,7 @@ def _cell_trace_path(algorithm: str, instance: str, run_index: int) -> Path:
 
 def write_trace_csv(path: str | Path, trace: list) -> None:
     """Convergence CSV: one (elapsed_s, generation, best_makespan) row per point."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for point in trace:
@@ -418,7 +426,7 @@ def read_runs_csv(path: str | Path) -> list[RunRecord]:
     cell more or fewer than the header, raises ConfigError naming the file
     and line."""
     records = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
@@ -441,7 +449,7 @@ def _runs_row(r: RunRecord) -> list:
 def _write_runs_csv(path: Path, records: list[RunRecord]) -> None:
     """Replace ``path`` atomically: a crash leaves the old file or the new one."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUNS_HEADER)
         writer.writerows(_runs_row(r) for r in records)
@@ -514,7 +522,7 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
     # campaign that stops early resumes without redoing finished cells. In
     # parallel, the failure of the earliest failed cell is raised only once
     # the pool has drained and every cell that did finish is journaled.
-    with open(runs_path, "a", newline="") as journal:
+    with open(runs_path, "a", newline="", encoding="utf-8") as journal:
         writer = csv.writer(journal)
         if journal.tell() == 0:
             writer.writerow(RUNS_HEADER)
@@ -525,6 +533,10 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
             done[(r.algorithm, r.instance, r.run_index)] = r
 
         if config.parallelism > 1 and len(pending) > 1:
+            # imported here, so a serial run and ``import flowmt`` never load the pool
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             spawn = multiprocessing.get_context("spawn")
             with ProcessPoolExecutor(max_workers=config.parallelism, mp_context=spawn) as pool:
                 futures = [pool.submit(_run_cell, cell) for cell in pending]
@@ -559,7 +571,7 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
 
     _write_runs_csv(runs_path, records)
     metrics = group_metrics(records)
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
+    with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
         write_metrics_csv(fh, metrics)
     return records, metrics
 
@@ -603,7 +615,7 @@ def distance_sweep(
 
 
 def write_sweep_csv(path: str | Path, rows: list[tuple]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
         for name, measure, ratio, d, cos_theta, bound in rows:

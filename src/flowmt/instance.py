@@ -8,7 +8,7 @@ int32 and int64 that cannot overflow), so no tolerance is ever involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,15 +32,18 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class ProblemMatrix:
-    """An n x m matrix of processing times; row i holds job i's times."""
+    """An n x m matrix of processing times; row i holds job i's times.
+
+    ``p`` is the matrix's own read-only, C-contiguous int64 copy of the
+    checked times, so no later write to the caller's array reaches it.
+    """
 
     p: np.ndarray
-    _rows: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # an integer array is taken as it is; anything else is checked entry
+        # an integer array is checked as a whole; anything else is checked entry
         # by entry as Python objects, so no value is rounded, parsed or
         # wrapped on its way to int64
         integer_array = isinstance(self.p, np.ndarray) and self.p.dtype.kind in "iu"
@@ -62,7 +65,8 @@ class ProblemMatrix:
         # evaluation cannot overflow when no time exceeds this share
         if int(arr.max()) > np.iinfo(np.int64).max // arr.size:
             raise ParameterError("processing times too large for 64-bit makespans")
-        self.p = arr.astype(np.int64, copy=False)
+        self.p = np.array(arr, dtype=np.int64, order="C")
+        self.p.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -73,20 +77,17 @@ class ProblemMatrix:
         return self.p.shape[1]
 
     def rows(self) -> list:
-        """Processing times as plain nested lists (fast row lookup in hot loops)."""
-        if self._rows is None:
-            self._rows = self.p.tolist()
-        return self._rows
+        """Processing times as a fresh nested list (fast row lookup in hot loops)."""
+        return self.p.tolist()
 
 
-@dataclass
+@dataclass(eq=False)
 class Instance:
     """A named benchmark instance with optional best-known makespan."""
 
     matrix: ProblemMatrix
     name: str = ""
     best_known: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.best_known is not None:
@@ -208,8 +209,9 @@ def lower_bound(matrix: ProblemMatrix) -> int:
 # File formats.
 #
 # canonical: line 1 "n m", then n job-major lines of m integers.
-# taillard:  line 1 "n m [seed [upper [lower]]]" (extra tokens ignored),
-#            then m machine-major lines of n integers.
+# taillard:  line 1 "n m [seed [upper [lower]]]" (extra tokens ignored; the
+#            seed is checked as an integer, not kept), then m machine-major
+#            lines of n integers.
 # The writer emits canonical format only.
 # ---------------------------------------------------------------------------
 
@@ -228,9 +230,8 @@ def _data_lines(text: str):
             yield line_no, raw.split()
 
 
-def parse_instance(data: bytes | str, fmt: str = "canonical", name: str = "") -> Instance:
+def parse_instance(text: str, fmt: str = "canonical", name: str = "") -> Instance:
     """Parse instance text in ``canonical`` or ``taillard`` format."""
-    text = data.decode() if isinstance(data, (bytes, bytearray)) else data
     if fmt not in ("canonical", "taillard"):
         raise ParameterError(f"unknown format {fmt!r}")
     lines = list(_data_lines(text))
@@ -247,10 +248,10 @@ def parse_instance(data: bytes | str, fmt: str = "canonical", name: str = "") ->
     if n < 1 or m < 1:
         raise ParseError(f"invalid dimensions {n} x {m}", head_no)
 
-    seed = best_known = None
+    best_known = None
     if fmt == "taillard":
         if len(head) >= 3:
-            seed = _parse_int(head[2], head_no, 3)
+            _parse_int(head[2], head_no, 3)
         if len(head) >= 4:
             best_known = _parse_int(head[3], head_no, 4)
 
@@ -278,9 +279,9 @@ def parse_instance(data: bytes | str, fmt: str = "canonical", name: str = "") ->
                 raise ParseError(f"processing time {v} too large for 64-bit makespans", line_no, cidx)
             values[r, cidx - 1] = v
 
-    matrix = ProblemMatrix(values if fmt == "canonical" else values.T.copy())
+    matrix = ProblemMatrix(values if fmt == "canonical" else values.T)
     try:
-        return Instance(matrix, name=name, best_known=best_known, seed=seed)
+        return Instance(matrix, name=name, best_known=best_known)
     except ParameterError as exc:  # only best_known, the header's fourth token, is checked
         raise ParseError(str(exc), head_no, 4) from None
 
@@ -300,7 +301,7 @@ _LCG_MOD = 2**31 - 1
 _LCG_MULT = 16807
 
 
-def generate_taillard(n: int, m: int, seed: int, name: str | None = None) -> Instance:
+def generate_taillard(n: int, m: int, seed: int) -> Instance:
     """Deterministically regenerate a benchmark instance from its time seed."""
     if not 1 <= seed <= 2**31 - 2:
         raise ParameterError(f"seed {seed} outside [1, 2^31-2]")
@@ -312,9 +313,5 @@ def generate_taillard(n: int, m: int, seed: int, name: str | None = None) -> Ins
         for i in range(n):
             state = (_LCG_MULT * state) % _LCG_MOD
             p[i, j] = 1 + int((state / _LCG_MOD) * 99)
-    return Instance(
-        ProblemMatrix(p),
-        name=name if name is not None else f"gen{n}x{m}s{seed}",
-        seed=seed,
-    )
+    return Instance(ProblemMatrix(p), name=f"gen{n}x{m}s{seed}")
 

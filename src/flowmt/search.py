@@ -202,7 +202,8 @@ def solve_eat(submatrix: ProblemMatrix, iterations: int, rng) -> list[int]:
     """
     if iterations < 0:
         raise ParameterError(f"iteration count must be nonnegative, got {iterations}")
-    rows_sums = [(sum(row), job) for job, row in enumerate(submatrix.rows(), start=1)]
+    rows = submatrix.rows()
+    rows_sums = [(sum(row), job) for job, row in enumerate(rows, start=1)]
     priority = [job for _, job in sorted(rows_sums, key=lambda t: (-t[0], t[1]))]
     seed = neh(submatrix, priority)
     g = len(seed)
@@ -211,7 +212,6 @@ def solve_eat(submatrix: ProblemMatrix, iterations: int, rng) -> list[int]:
 
     # scalar: each value gates the next draw, and the batch kernel is built for
     # wide batches: one sequence costs 315 vs 13 µs at 20x5, 5.7 ms vs 192 µs at 100x20
-    rows = submatrix.rows()
     m = submatrix.m
     cur = list(seed)
     cur_val = _makespan_unchecked(rows, m, cur)

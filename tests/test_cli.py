@@ -597,6 +597,25 @@ def test_overstated_dimension_exit_code(tmp_path, fig2_file, capsys, text):
     assert "line 2: expected 1000000000000 values, found 2" in err
 
 
+@pytest.mark.parametrize(
+    "command, data, offset",
+    [
+        ("distance", b"\xff\xfe2 2\n1 2\n3 4\n", 0),
+        ("distance", b"2 2\n1 2\n3 \xe9\n", 10),
+        ("build-eat", b"\xff\xfe2 2\n1 2\n3 4\n", 0),
+        ("experiment", b"\xff\xfealgorithm=MFEA-I/LSP-20/IK\n", 0),
+        ("distance-sweep", b"\xff\xfeinstance=fig2.txt\n", 0),
+    ],
+    ids=["distance", "distance-mid-file", "build-eat", "experiment", "distance-sweep"],
+)
+def test_non_utf8_input_names_path_and_byte(tmp_path, fig2_file, capsys, command, data, offset):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    args = [str(path), str(fig2_file)] if command == "distance" else [str(path)]
+    assert main([command, *args]) == 2
+    assert capsys.readouterr().err == f"error: {path}: byte {offset} is not UTF-8 text\n"
+
+
 def test_solve_without_budget_or_generations_uses_the_papers_budget(
     tmp_path, capsys, monkeypatch
 ):

@@ -225,8 +225,17 @@ class TestCosThetaLowerBound:
          "critical job 11 outside 1..10"),
         (lambda p: cos_theta_lower_bound(ProblemMatrix(np.zeros((4, 2), dtype=np.int64)), [1]),
          ParameterError, "bound undefined for an instance whose times are all 0"),
+        (lambda p: itdm([[1, np.nan], [2, 3]], [[1, 2], [3, 4]]), ParameterError,
+         "entry nan at row 1, column 2 is not finite"),
+        (lambda p: itdm([[1, 2], [3, 4]], [[1, 2], [np.inf, -np.inf]]), ParameterError,
+         "entry inf at row 2, column 1 is not finite"),
+        (lambda p: cos_theta_lower_bound([[1, np.nan], [2, 3]], [1]), ParameterError,
+         "entry nan at row 1, column 2 is not finite"),
+        (lambda p: cos_theta_lower_bound([[1, 2], [-np.inf, 3]], [1]), ParameterError,
+         "entry -inf at row 2, column 1 is not finite"),
     ],
-    ids=["itdm-1-d", "critical-job-out-of-range", "all-zero-bound"],
+    ids=["itdm-1-d", "critical-job-out-of-range", "all-zero-bound", "itdm-nan-task",
+         "itdm-inf-reference", "bound-nan", "bound-minus-inf"],
 )
 def test_bad_input_rejected(fig2_matrix, call, error, message):
     with pytest.raises(error) as err:

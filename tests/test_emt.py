@@ -6,6 +6,7 @@ import pytest
 
 import flowmt.emt
 import flowmt.search
+from flowmt.auxiliary import build_eat
 from flowmt.emt import (
     TASK_EAT,
     TASK_EXP,
@@ -17,10 +18,10 @@ from flowmt.emt import (
     TaskPair,
 )
 from flowmt.errors import ConfigError, UnderfullPoolError
-from flowmt.instance import Instance, generate_taillard, makespan
+from flowmt.instance import Instance, ProblemMatrix, generate_taillard, makespan
 from flowmt.transfer import project_to_eat, rov_decode
 
-from conftest import StopOnCall, random_matrix
+from conftest import FIG2_TIMES, StopOnCall, random_matrix
 from oracles import gauss_mutate_reference, sbx_reference
 
 
@@ -918,3 +919,25 @@ def test_unknown_kind_or_mode_rejected(make, message):
     with pytest.raises(ConfigError) as err:
         make()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ProblemMatrix(FIG2_TIMES),
+        lambda: Instance(ProblemMatrix(FIG2_TIMES), name="fig2"),
+        lambda: build_eat(ProblemMatrix(FIG2_TIMES), "lsp", 40),
+        lambda: TaskPair(Instance(ProblemMatrix(FIG2_TIMES)), ImpTsk("lsp", 40)),
+        lambda: RndTsk(2, generate_taillard(5, 5, 1)),
+    ],
+    ids=["ProblemMatrix", "Instance", "EatSpec", "TaskPair", "RndTsk"],
+)
+def test_equal_objects_compare_by_identity(make):
+    a, b = make(), make()
+    assert (a == b) is False
+    assert a == a
+
+
+def test_random_pairing_is_hashable():
+    pairing = RndTsk(2, generate_taillard(5, 5, 1))
+    assert {pairing: 1}[pairing] == 1  # hashed by identity

@@ -24,10 +24,20 @@ it, so the packed format of the INSERT-walk batches has one owner.
 Every ``fm.<name>`` that the benchmark scripts in ``perfbench/`` read must
 exist on the ``flowmt`` package, so deleting a name the benchmark drives fails
 here rather than only when the benchmark runs.
+
+Every text-mode ``open``, ``read_text`` and ``write_text`` in ``src/flowmt``
+names its ``encoding``, so each file flowmt reads or writes is UTF-8 whatever
+the locale.
+
+``import flowmt`` loads neither ``multiprocessing`` nor ``concurrent.futures``:
+only a parallel campaign needs its process pool.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -262,3 +272,65 @@ def test_benchmark_names_exist():
     assert [name for name in names if not hasattr(flowmt, name)] == []
     assert callable(flowmt.cli.main)
     assert "run" in flowmt.emt.Engine.__dict__  # the campaign workload wraps it
+
+
+def unencoded_text_io(sources: dict[str, str]) -> list[str]:
+    """Each text-mode ``open`` and each ``read_text`` or ``write_text`` call in
+    ``sources``, file name -> text, that passes no ``encoding=``, in file and
+    line order. The mode is the second argument of the builtin ``open`` and the
+    first of a ``.open`` method (``Path.open``); a mode that is not a literal
+    counts as text."""
+    calls = []
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text"):
+                text = True
+            elif (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute) and func.attr == "open"
+            ):
+                at = 1 if isinstance(func, ast.Name) else 0
+                modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+                mode = node.args[at] if len(node.args) > at else (modes[0] if modes else None)
+                text = not (isinstance(mode, ast.Constant) and "b" in str(mode.value))
+            else:
+                continue
+            if text and not any(kw.arg == "encoding" for kw in node.keywords):
+                calls.append((file, node.lineno))
+    return [f"{file} line {line}" for file, line in sorted(calls)]
+
+
+def test_encoding_scan_flags_only_text_io_without_encoding():
+    sources = {
+        "a.py": (
+            "open(p)\n"
+            "open(p, 'rb')\n"
+            "open(p, mode='w', encoding='utf-8')\n"
+            "open(p, 'a', newline='')\n"
+            "path.read_text()\n"
+            "path.write_text(t, encoding='utf-8')\n"
+            "path.read_bytes()\n"
+        ),
+        "b.py": "path.open('r+b')\npath.open()\nopen(p, mode)\n",
+    }
+    assert unencoded_text_io(sources) == [
+        "a.py line 1", "a.py line 4", "a.py line 5", "b.py line 2", "b.py line 3",
+    ]
+
+
+def test_package_text_io_names_its_encoding():
+    assert unencoded_text_io({path.name: path.read_text() for path in PACKAGE}) == []
+
+
+def test_package_import_leaves_the_process_pool_unloaded():
+    code = (
+        "import sys, numpy, flowmt\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

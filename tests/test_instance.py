@@ -220,7 +220,6 @@ class TestParsing:
 
     def test_taillard_header_extras(self):
         inst = parse_instance("2 2 99 12 9 extra tokens\n1 2\n3 4", fmt="taillard")
-        assert inst.seed == 99
         assert inst.best_known == 12
 
     def test_write_then_parse_roundtrip(self):
@@ -360,6 +359,26 @@ class TestTypes:
         with pytest.raises(ParameterError):
             Instance(fig2_matrix, best_known=10)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_owns_a_read_only_copy(self, order):
+        source = np.array([[3, 4], [5, 6]], dtype=np.int64, order=order)
+        mat = ProblemMatrix(source)
+        assert makespan(mat, [1, 2]) == 14
+        source[0, 0] = -100  # a time the constructor would have rejected
+        assert mat.p.tolist() == [[3, 4], [5, 6]]
+        assert makespan(mat, [1, 2]) == 14
+        assert _makespans(mat.p, [[1, 2]]).tolist() == [14]
+        assert mat.p.flags.c_contiguous and not mat.p.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mat.p[0, 0] = 0
+
+    def test_rows_are_a_fresh_list(self):
+        mat = ProblemMatrix([[3, 4], [5, 6]])
+        rows = mat.rows()
+        rows[0][0] = 100
+        assert mat.rows() == [[3, 4], [5, 6]]
+        assert makespan(mat, [1, 2]) == 14
+
 
 @pytest.mark.parametrize(
     "make, error, message",
@@ -371,10 +390,12 @@ class TestTypes:
         (lambda: parse_instance("3\n1 2 3\n"), ParseError,
          "line 1: header needs at least 'n m'"),
         (lambda: parse_instance("0 3\n"), ParseError, "line 1: invalid dimensions 0 x 3"),
+        (lambda: parse_instance("2 2 x\n1 2\n3 4", fmt="taillard"), ParseError,
+         "line 1, column 3: non-numeric token 'x'"),
         (lambda: generate_taillard(0, 5, 1), ParameterError, "need n >= 1 and m >= 1"),
     ],
     ids=["1-d-matrix", "unknown-format", "empty-text", "one-token-header", "zero-jobs",
-         "generate-zero-jobs"],
+         "taillard-non-integer-seed", "generate-zero-jobs"],
 )
 def test_malformed_input_rejected(make, error, message):
     with pytest.raises(error) as err:
