@@ -165,3 +165,52 @@ def test_eat_sweep_and_build_digest_matches(tmp_path, capsys):
         digest.update(out.read_bytes() + b"\0" + capsys.readouterr().out.encode())
     assert len(rows) == 2 * 8 * 9
     assert digest.hexdigest() == EAT_DIGEST
+
+
+# The files no digest above covers, byte for byte with csv's \r\n line ends:
+# a deterministic solve's trace, and flowmt metrics on stdout and in --out.
+# Recorded with the hand-written trace and metrics writers that came before
+# the one table-driven writer.
+SOLVE_TRACE_BYTES = (
+    b"elapsed_s,generation,best_makespan\r\n"
+    b"0.000000,0,1448\r\n0.000000,1,1428\r\n0.000000,2,1395\r\n0.000000,3,1395\r\n"
+)
+
+
+def test_solve_trace_file_bytes(tmp_path, capsys):
+    inst = flowmt.generate_taillard(20, 5, 873654221)
+    (tmp_path / "exp.txt").write_text(flowmt.write_instance(inst))
+    trace = tmp_path / "trace.csv"
+    argv = ["solve", str(tmp_path / "exp.txt"), "--generations", "3", "--seed", "3",
+            "--pop", "10", "--ls", "5", "--trace-out", str(trace)]
+    assert cli.main(argv) == 0
+    assert "best_makespan = 1395\n" in capsys.readouterr().out
+    assert trace.read_bytes() == SOLVE_TRACE_BYTES
+
+
+METRICS_RUNS = (
+    "algorithm,instance,run,seed,makespan,re,re_basis,elapsed_s,trace\n"
+    "B,j,0,1,110,0.333333,campaign_best,0.000000,t0.csv\n"
+    '"R/RndTsk2:a,b.txt/IK",i,0,1,105,1.000000,best_known,1.250000,t1.csv\n'
+    "B,j,1,2,105,0.000000,campaign_best,0.000000,t2.csv\n"
+    '"R/RndTsk2:a,b.txt/IK",i,1,2,103,0.000001,best_known,0.500000,t3.csv\n'
+    "B,j,2,3,120,12.500000,campaign_best,0.000000,t4.csv\n"
+)
+METRICS_BYTES = (
+    b"algorithm,instance,are,bre,wre\r\n"
+    b"B,j,4.277778,0.000000,12.500000\r\n"
+    b'"R/RndTsk2:a,b.txt/IK",i,0.500000,0.000001,1.000000\r\n'
+)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_metrics_output_bytes(tmp_path, capsys, to_file):
+    runs = tmp_path / "runs.csv"
+    runs.write_text(METRICS_RUNS)
+    out = tmp_path / "metrics.csv"
+    assert cli.main(["metrics", str(runs), *(["--out", str(out)] if to_file else [])]) == 0
+    printed = capsys.readouterr().out.encode()
+    if to_file:
+        assert (printed, out.read_bytes()) == (b"", METRICS_BYTES)
+    else:
+        assert printed == METRICS_BYTES
