@@ -18,6 +18,7 @@ from .harness import (
     CampaignConfig,
     MetricsRow,
     RunRecord,
+    SweepRow,
     aggregate,
     build_engine,
     distance_sweep,

@@ -16,6 +16,9 @@ from .auxiliary import MEASURES, build_eat, importance_scores
 from .distance import itdm
 from .errors import ConfigError, FlowmtError
 from .harness import (
+    METRICS,
+    SWEEP,
+    TRACE,
     build_engine,
     distance_sweep,
     group_metrics,
@@ -27,9 +30,7 @@ from .harness import (
     read_utf8,
     relative_error,
     run_campaign,
-    write_metrics_csv,
-    write_sweep_csv,
-    write_trace_csv,
+    write_csv,
 )
 from .instance import Instance, generate_taillard, makespan, write_instance
 from .search import solve_eat
@@ -186,7 +187,7 @@ def _cmd_solve(args) -> int:
     if inst.best_known is not None:
         print(f"re = {relative_error(result.best_makespan, inst.best_known):.4f}")
     print("permutation =", " ".join(str(j) for j in result.best_perm))
-    write_trace_csv(trace_path, result.trace)
+    write_csv(trace_path, TRACE, result.trace)
     print("trace =", trace_path)
     return 0
 
@@ -205,7 +206,7 @@ def _cmd_distance_sweep(args) -> int:
     instances, measures, ratios, seed, out = parse_sweep_config(read_utf8(path), path.parent)
     _check_out_path(out)
     rows = distance_sweep(instances, measures, ratios, seed=seed)
-    write_sweep_csv(out, rows)
+    write_csv(out, SWEEP, rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -218,12 +219,7 @@ def _cmd_metrics(args) -> int:
                 f"{args.records}: run {r.run_index} of {r.algorithm} on {r.instance} "
                 "has no relative error; its campaign has not finished"
             )
-    rows = group_metrics(records)
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            write_metrics_csv(fh, rows)
-    else:
-        write_metrics_csv(sys.stdout, rows)
+    write_csv(args.out or sys.stdout, METRICS, group_metrics(records))
     return 0
 
 

@@ -2,12 +2,14 @@
 
 Algorithms are named by triplets "ENGINE/PAIRING/TRANSFER", for example
 "MFEA-I/LSP-20/RI" or "P-MFEA/RndTsk2:aux.txt/IK". A campaign executes every
-(algorithm, instance, run) cell, journals finished cells so interrupted
-campaigns resume where they stopped, and emits:
+(algorithm, instance, run) cell and journals finished cells, so interrupted
+campaigns resume where they stopped. It emits the first three files below, a
+distance sweep the last; ``write_csv`` writes each from its table of columns:
 
   runs.csv     one row per cell (makespan, relative error, seed, trace path)
   metrics.csv  average/best/worst relative error per (algorithm, instance)
   traces/      one convergence CSV per cell (elapsed_s, generation, best)
+  sweep CSV    distance, cosine and its floor per (instance, measure, ratio)
 
 Relative errors use the instance's best-known makespan when available and
 otherwise fall back to the campaign's own best observed value, flagged in the
@@ -17,11 +19,13 @@ re_basis column.
 from __future__ import annotations
 
 import csv
+import io
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from random import Random
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .auxiliary import MEASURES, check_pairing, critical_count, importance_scores
 from .distance import cos_theta_lower_bound, itdm, zero_pad
@@ -32,6 +36,7 @@ from .instance import Instance, parse_instance
 __all__ = [
     "RunRecord",
     "MetricsRow",
+    "SweepRow",
     "CampaignConfig",
     "relative_error",
     "aggregate",
@@ -43,11 +48,8 @@ __all__ = [
     "parse_sweep_config",
     "run_campaign",
     "distance_sweep",
+    "write_csv",
 ]
-
-METRICS_HEADER = ["algorithm", "instance", "are", "bre", "wre"]
-TRACE_HEADER = ["elapsed_s", "generation", "best_makespan"]
-SWEEP_HEADER = ["instance", "measure", "ratio", "d", "cos_theta", "bound"]
 
 
 @dataclass
@@ -63,26 +65,6 @@ class RunRecord:
     re_basis: str = ""
 
 
-def _same(value):
-    return value
-
-
-# (column, RunRecord field, write, read) for each runs.csv column
-_RUNS_COLUMNS = (
-    ("algorithm", "algorithm", _same, _same),
-    ("instance", "instance", _same, _same),
-    ("run", "run_index", str, int),
-    ("seed", "seed", str, int),
-    ("makespan", "makespan", str, int),
-    ("re", "re",
-     lambda re: "" if re is None else f"{re:.6f}", lambda cell: float(cell) if cell else None),
-    ("re_basis", "re_basis", _same, _same),
-    ("elapsed_s", "elapsed_s", "{:.6f}".format, float),
-    ("trace", "trace_path", _same, _same),
-)
-RUNS_HEADER = [column for column, _, _, _ in _RUNS_COLUMNS]
-
-
 @dataclass
 class MetricsRow:
     algorithm: str
@@ -90,6 +72,60 @@ class MetricsRow:
     are: float
     bre: float
     wre: float
+
+
+class SweepRow(NamedTuple):
+    instance: str
+    measure: str
+    ratio: int
+    d: float
+    cos_theta: float
+    bound: float
+
+
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
+_F6, _F9 = "{:.6f}".format, "{:.9f}".format
+
+# Each output file as (column, record field, write) per column. runs.csv, the
+# one file read back, adds each column's read.
+RUNS = (
+    ("algorithm", "algorithm", str, str),
+    ("instance", "instance", str, str),
+    ("run", "run_index", str, int),
+    ("seed", "seed", str, int),
+    ("makespan", "makespan", str, int),
+    ("re", "re", lambda re: "" if re is None else _F6(re),
+     lambda cell: _finite(cell) if cell else None),
+    ("re_basis", "re_basis", str, str),
+    ("elapsed_s", "elapsed_s", _F6, _finite),
+    ("trace", "trace_path", str, str),
+)
+METRICS = (("algorithm", "algorithm", str), ("instance", "instance", str),
+           ("are", "are", _F6), ("bre", "bre", _F6), ("wre", "wre", _F6))
+TRACE = (("elapsed_s", "elapsed_s", _F6), ("generation", "generation", str),
+         ("best_makespan", "best_makespan", str))
+SWEEP = (("instance", "instance", str), ("measure", "measure", str), ("ratio", "ratio", str),
+         ("d", "d", _F9), ("cos_theta", "cos_theta", _F9), ("bound", "bound", _F9))
+
+
+def write_csv(target: str | os.PathLike | TextIO, table: tuple, records, header=True) -> None:
+    """``records`` as rows of the file ``table`` describes, after its header
+    unless ``header`` is false; each cell is its column's write of the
+    record's field. A path is replaced by a UTF-8 file; a stream is appended to."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, "w", newline="", encoding="utf-8") as fh:
+            write_csv(fh, table, records, header)
+        return
+    writer = csv.writer(target)
+    if header:
+        writer.writerow([column for column, *_ in table])
+    writer.writerows([write(getattr(r, name)) for _, name, write, *_ in table] for r in records)
 
 
 def relative_error(c: float, c_star: float) -> float:
@@ -343,6 +379,10 @@ def parse_campaign_config(text: str, base_dir: str | Path = ".") -> CampaignConf
                           base_dir=str(base_dir), **values)
 
 
+def _same(value):
+    return value
+
+
 def _value_list(key: str, convert, check=_same):
     """Reads a sweep's comma-separated measures or ratios: converts every
     token, then checks each value. The list needs a value and none twice, or
@@ -390,15 +430,6 @@ def _cell_trace_path(algorithm: str, instance: str, run_index: int) -> Path:
     return Path("traces") / f"{safe}__{instance}__run{run_index}.csv"
 
 
-def write_trace_csv(path: str | Path, trace: list) -> None:
-    """Convergence CSV: one (elapsed_s, generation, best_makespan) row per point."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for point in trace:
-            writer.writerow([f"{point.elapsed_s:.6f}", point.generation, point.best_makespan])
-
-
 def _run_cell(args) -> RunRecord:
     """Run one (algorithm, instance, run) cell's engine and write its trace
     under ``out_dir``; top-level so pools can pickle it."""
@@ -408,7 +439,7 @@ def _run_cell(args) -> RunRecord:
     trace_path = _cell_trace_path(algorithm, instance, run_index)
     trace_file = out_dir / trace_path
     trace_file.parent.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(trace_file, result.trace)
+    write_csv(trace_file, TRACE, result.trace)
     return RunRecord(
         algorithm=algorithm,
         instance=instance,
@@ -422,47 +453,26 @@ def _run_cell(args) -> RunRecord:
 
 def read_runs_csv(path: str | Path) -> list[RunRecord]:
     """Every row of a runs.csv; an empty ``re`` (a journal row written before
-    the campaign finished) reads as None, and a malformed row, or one with a
-    cell more or fewer than the header, raises ConfigError naming the file
-    and line."""
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                # DictReader keys extra cells by None and fills missing ones with None
-                if None in row or None in row.values():
-                    raise ValueError
-                cells = {name: read(row[column]) for column, name, _, read in _RUNS_COLUMNS}
-            except (KeyError, ValueError):
-                raise ConfigError(
-                    f"{path}: line {reader.line_num} is not a finished run record"
-                ) from None
-            records.append(RunRecord(**cells))
+    the campaign finished) reads as None. A malformed row, one with a cell
+    more or fewer than the header or a number that is not finite, and a cell
+    recorded twice raise ConfigError naming the file and line."""
+    records, lines = [], {}
+    reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
+    for row in reader:
+        line = reader.line_num
+        try:
+            # DictReader keys extra cells by None and fills missing ones with None
+            if None in row or None in row.values():
+                raise ValueError
+            r = RunRecord(**{name: read(row[column]) for column, name, _, read in RUNS})
+        except (KeyError, ValueError):
+            raise ConfigError(f"{path}: line {line} is not a finished run record") from None
+        first = lines.setdefault((r.algorithm, r.instance, r.run_index), line)
+        if first != line:
+            raise ConfigError(f"{path}: lines {first} and {line} both record "
+                              f"run {r.run_index} of {r.algorithm} on {r.instance}")
+        records.append(r)
     return records
-
-
-def _runs_row(r: RunRecord) -> list:
-    return [write(getattr(r, name)) for _, name, write, _ in _RUNS_COLUMNS]
-
-
-def _write_runs_csv(path: Path, records: list[RunRecord]) -> None:
-    """Replace ``path`` atomically: a crash leaves the old file or the new one."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUNS_HEADER)
-        writer.writerows(_runs_row(r) for r in records)
-    os.replace(tmp, path)
-
-
-def write_metrics_csv(stream: TextIO, rows: list[MetricsRow]) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(METRICS_HEADER)
-    for row in rows:
-        writer.writerow(
-            [row.algorithm, row.instance, f"{row.are:.6f}", f"{row.bre:.6f}", f"{row.wre:.6f}"]
-        )
 
 
 def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsRow]]:
@@ -523,12 +533,11 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
     # parallel, the failure of the earliest failed cell is raised only once
     # the pool has drained and every cell that did finish is journaled.
     with open(runs_path, "a", newline="", encoding="utf-8") as journal:
-        writer = csv.writer(journal)
         if journal.tell() == 0:
-            writer.writerow(RUNS_HEADER)
+            write_csv(journal, RUNS, [])
 
         def record(r: RunRecord) -> None:
-            writer.writerow(_runs_row(r))
+            write_csv(journal, RUNS, [r], header=False)
             journal.flush()
             done[(r.algorithm, r.instance, r.run_index)] = r
 
@@ -569,10 +578,12 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunRecord], list[MetricsR
         r.re = relative_error(r.makespan, c_star)
         r.re_basis = basis
 
-    _write_runs_csv(runs_path, records)
+    # replaced atomically: a crash leaves the journal or the finished file
+    tmp = runs_path.with_name("runs.csv.tmp")
+    write_csv(tmp, RUNS, records)
+    os.replace(tmp, runs_path)
     metrics = group_metrics(records)
-    with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
-        write_metrics_csv(fh, metrics)
+    write_csv(out_dir / "metrics.csv", METRICS, metrics)
     return records, metrics
 
 
@@ -586,7 +597,7 @@ def distance_sweep(
     measures: list[str],
     ratios: list[int],
     seed: int = 0,
-) -> list[tuple]:
+) -> list[SweepRow]:
     """One row per (instance, measure, ratio): distance, cosine and its floor.
     Every measure, every instance, and every ratio on every instance are
     checked before any row is computed."""
@@ -610,13 +621,5 @@ def distance_sweep(
                 selected = ranking[:g]
                 res = itdm(zero_pad(inst.matrix, selected), inst.matrix)
                 bound = cos_theta_lower_bound(inst.matrix, selected)
-                rows.append((inst.name, kind, ratio, res.d, res.cos_theta, bound))
+                rows.append(SweepRow(inst.name, kind, ratio, res.d, res.cos_theta, bound))
     return rows
-
-
-def write_sweep_csv(path: str | Path, rows: list[tuple]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        for name, measure, ratio, d, cos_theta, bound in rows:
-            writer.writerow([name, measure, ratio, f"{d:.9f}", f"{cos_theta:.9f}", f"{bound:.9f}"])

@@ -605,8 +605,9 @@ def test_overstated_dimension_exit_code(tmp_path, fig2_file, capsys, text):
         ("build-eat", b"\xff\xfe2 2\n1 2\n3 4\n", 0),
         ("experiment", b"\xff\xfealgorithm=MFEA-I/LSP-20/IK\n", 0),
         ("distance-sweep", b"\xff\xfeinstance=fig2.txt\n", 0),
+        ("metrics", b"algorithm,instance\n\xe9\n", 19),
     ],
-    ids=["distance", "distance-mid-file", "build-eat", "experiment", "distance-sweep"],
+    ids=["distance", "distance-mid-file", "build-eat", "experiment", "distance-sweep", "metrics"],
 )
 def test_non_utf8_input_names_path_and_byte(tmp_path, fig2_file, capsys, command, data, offset):
     path = tmp_path / "bad.txt"
@@ -614,6 +615,74 @@ def test_non_utf8_input_names_path_and_byte(tmp_path, fig2_file, capsys, command
     args = [str(path), str(fig2_file)] if command == "distance" else [str(path)]
     assert main([command, *args]) == 2
     assert capsys.readouterr().err == f"error: {path}: byte {offset} is not UTF-8 text\n"
+
+
+def test_resume_over_a_non_utf8_journal_names_path_and_byte(tmp_path, fig2_file, capsys):
+    config = tmp_path / "campaign.cfg"
+    config.write_text(
+        "instance=fig2.txt\nalgorithm=P-MFEA/LSP-20/IK\nmax_generations=1\n"
+        "population=6\nls_intensity=2\nout_dir=results\n"
+    )
+    assert main(["experiment", str(config)]) == 0
+    runs_csv = tmp_path / "results" / "runs.csv"
+    data = runs_csv.read_bytes()
+    offset = data.index(b"fig2")
+    runs_csv.write_bytes(data[:offset] + b"\xe9" + data[offset + 1:])
+    capsys.readouterr()
+    assert main(["experiment", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {runs_csv}: byte {offset} is not UTF-8 text\n"
+
+
+RUNS_HEADER_LINE = "algorithm,instance,run,seed,makespan,re,re_basis,elapsed_s,trace\n"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "A,i,1,2,105,nan,best_known,0.000000,t1.csv",
+        "A,i,1,2,105,inf,best_known,0.000000,t1.csv",
+        "A,i,1,2,105,-inf,best_known,0.000000,t1.csv",
+        "A,i,1,2,105,5.000000,best_known,nan,t1.csv",
+        "A,i,1,2,105,5.000000,best_known,inf,t1.csv",
+    ],
+    ids=["re-nan", "re-inf", "re-minus-inf", "elapsed-nan", "elapsed-inf"],
+)
+def test_metrics_rejects_a_non_finite_number(tmp_path, capsys, row):
+    # float() reads these, and metrics printed A,i,nan,nan,nan
+    runs = tmp_path / "runs.csv"
+    runs.write_text(RUNS_HEADER_LINE + "A,i,0,1,110,10.000000,best_known,0.000000,t0.csv\n"
+                    + row + "\n")
+    assert main(["metrics", str(runs)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {runs}: line 3 is not a finished run record\n"
+
+
+def test_metrics_rejects_a_cell_recorded_twice(tmp_path, capsys):
+    # a campaign journals each cell once; read twice, run 0 counted twice
+    runs = tmp_path / "runs.csv"
+    runs.write_text(
+        RUNS_HEADER_LINE
+        + "A,i,0,1,100,0.000000,best_known,0.000000,t0.csv\n"
+        + "A,j,0,1,100,0.000000,best_known,0.000000,t1.csv\n"
+        + "A,i,0,1,102,2.000000,best_known,0.000000,t0.csv\n"
+    )
+    assert main(["metrics", str(runs)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {runs}: lines 2 and 4 both record run 0 of A on i\n"
+
+
+@pytest.mark.parametrize("sep", ["\x1c", "\x85", "\u2028"], ids=["fs", "nel", "line-sep"])
+def test_metrics_keeps_a_line_separator_inside_a_cell(tmp_path, capsys, sep):
+    # str.splitlines() would break the row at these; csv splits only at \r and \n
+    runs = tmp_path / "runs.csv"
+    runs.write_text(RUNS_HEADER_LINE + f"A,i{sep}x,0,1,110,10.000000,best_known,0.000000,t.csv\n",
+                    encoding="utf-8")
+    assert main(["metrics", str(runs)]) == 0
+    assert capsys.readouterr().out == (
+        f"algorithm,instance,are,bre,wre\r\nA,i{sep}x,10.000000,10.000000,10.000000\r\n"
+    )
 
 
 def test_solve_without_budget_or_generations_uses_the_papers_budget(

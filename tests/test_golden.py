@@ -15,7 +15,7 @@ import pytest
 
 import flowmt
 from flowmt import cli
-from flowmt.harness import write_sweep_csv
+from flowmt.harness import SWEEP, write_csv
 from flowmt.search import _insert_best
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -154,7 +154,7 @@ def test_eat_sweep_and_build_digest_matches(tmp_path, capsys):
     big = flowmt.generate_taillard(100, 20, 1539989115)
     small = flowmt.generate_taillard(20, 5, 873654221)
     rows = flowmt.distance_sweep([big, small], flowmt.MEASURES, range(10, 100, 10), seed=3)
-    write_sweep_csv(tmp_path / "sweep.csv", rows)
+    write_csv(tmp_path / "sweep.csv", SWEEP, rows)
     digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes())
     (tmp_path / "big.txt").write_text(flowmt.write_instance(big))
     for args in (["lsp", "--ratio", "20"], ["rnd", "--ratio", "40", "--seed", "5"],

@@ -31,6 +31,9 @@ the locale.
 
 ``import flowmt`` loads neither ``multiprocessing`` nor ``concurrent.futures``:
 only a parallel campaign needs its process pool.
+
+Only ``harness.py`` imports ``csv``, and ``cli.py`` calls no ``open``, so every
+output file's columns and number formats stay in the harness's tables.
 """
 
 import ast
@@ -334,3 +337,45 @@ def test_package_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def csv_writers(sources: dict[str, str]) -> list[str]:
+    """Each import of ``csv`` outside ``harness.py`` and each ``open`` call, the
+    builtin or a ``.open`` method, in ``cli.py``, in ``sources``, file name ->
+    text, in file and line order."""
+    found = []
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                hit = file != "harness.py" and any(alias.name == "csv" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = file != "harness.py" and node.module == "csv"
+            elif isinstance(node, ast.Call) and file == "cli.py":
+                func = node.func
+                hit = (isinstance(func, ast.Name) and func.id == "open") or (
+                    isinstance(func, ast.Attribute) and func.attr == "open"
+                )
+            else:
+                continue
+            if hit:
+                found.append((file, node.lineno))
+    return [f"{file} line {line}" for file, line in sorted(found)]
+
+
+def test_csv_scan_flags_csv_imports_and_cli_opens():
+    sources = {
+        "cli.py": (
+            "import csv as table\n"
+            "import csvkit\n"
+            "from csv import writer\n"
+            "open(p, 'w')\n"
+            "Path(p).open()\n"
+            "Path(p).write_text(t)\n"
+        ),
+        "harness.py": "import csv\nopen(p)\n",
+    }
+    assert csv_writers(sources) == ["cli.py line 1", "cli.py line 3", "cli.py line 4", "cli.py line 5"]
+
+
+def test_only_the_harness_writes_csv():
+    assert csv_writers({path.name: path.read_text() for path in PACKAGE}) == []
